@@ -3,9 +3,11 @@
 //! algorithm of Goldberg et al. [4].
 //!
 //! The search alternates between a forward frontier from `s` and a backward
-//! frontier from `t`, always expanding the smaller frontier, and terminates
-//! when the sum of the two search radii can no longer improve on the best
-//! meeting distance found so far. On unweighted undirected graphs this
+//! frontier from `t`, always expanding the smaller frontier one full level
+//! at a time, and terminates at the first node both frontiers reach — on
+//! unweighted graphs that meeting already closes a shortest path — or, when
+//! the caller knows an upper bound on the distance, as soon as the sum of
+//! the two search radii reaches it. On unweighted undirected graphs this
 //! returns exact distances while exploring O(b^(d/2)) nodes instead of
 //! O(b^d).
 
@@ -15,6 +17,23 @@ use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
 use crate::{PathEngine, PointToPoint};
+
+/// Index of the forward (source-side) search in per-side arrays.
+const FWD: usize = 0;
+/// Index of the backward (target-side) search in per-side arrays.
+const BWD: usize = 1;
+
+/// Both searches' labels of one node, interleaved so that expanding a
+/// neighbour — test its own side's stamp, write its distance, test the
+/// other side's stamp — touches one cache line instead of three arrays.
+#[derive(Debug, Clone, Copy, Default)]
+struct Label {
+    /// Search stamp per side; a label is valid when it equals the current
+    /// search's stamp.
+    stamp: [u32; 2],
+    /// Exact distance from that side's centre, valid where stamped.
+    dist: [Distance; 2],
+}
 
 /// Reusable scratch state for bidirectional BFS, decoupled from any graph
 /// borrow.
@@ -27,14 +46,9 @@ use crate::{PathEngine, PointToPoint};
 /// queries perform no per-query allocation.
 #[derive(Debug, Clone, Default)]
 pub struct BidirBfsScratch {
-    stamp_fwd: Vec<u32>,
-    stamp_bwd: Vec<u32>,
-    dist_fwd: Vec<Distance>,
-    dist_bwd: Vec<Distance>,
-    parent_fwd: Vec<NodeId>,
-    parent_bwd: Vec<NodeId>,
-    queue_fwd: VecDeque<NodeId>,
-    queue_bwd: VecDeque<NodeId>,
+    labels: Vec<Label>,
+    /// Frontier queue per side.
+    queues: [VecDeque<NodeId>; 2],
     current_stamp: u32,
     operations: u64,
     /// The node where the two searches met on the last successful query.
@@ -55,13 +69,8 @@ impl BidirBfsScratch {
     }
 
     fn ensure_capacity(&mut self, n: usize) {
-        if self.stamp_fwd.len() < n {
-            self.stamp_fwd.resize(n, 0);
-            self.stamp_bwd.resize(n, 0);
-            self.dist_fwd.resize(n, 0);
-            self.dist_bwd.resize(n, 0);
-            self.parent_fwd.resize(n, 0);
-            self.parent_bwd.resize(n, 0);
+        if self.labels.len() < n {
+            self.labels.resize(n, Label::default());
         }
     }
 
@@ -70,19 +79,36 @@ impl BidirBfsScratch {
         self.operations
     }
 
-    /// The meeting node of the most recent successful search.
+    /// The meeting node of the most recent successful search: a node both
+    /// sides reached whose labels sum to the answer. `None` after a failed
+    /// search, and after a bounded search
+    /// ([`BidirBfsScratch::distance_seeded_bounded`]) whose upper bound
+    /// settled the answer before the frontiers met.
     pub fn last_meeting(&self) -> Option<NodeId> {
         self.last_meeting
     }
 
-    fn bump_stamp(&mut self) -> u32 {
+    /// Start a search: size the buffers, reset the per-call outputs and
+    /// empty the queues. Returns the search's fresh stamp.
+    fn begin(&mut self, n: usize) -> u32 {
+        self.ensure_capacity(n);
+        self.operations = 0;
+        self.last_meeting = None;
+        self.queues.iter_mut().for_each(VecDeque::clear);
         self.current_stamp = self.current_stamp.wrapping_add(1);
         if self.current_stamp == 0 {
-            self.stamp_fwd.iter_mut().for_each(|x| *x = 0);
-            self.stamp_bwd.iter_mut().for_each(|x| *x = 0);
+            self.labels.iter_mut().for_each(|l| l.stamp = [0; 2]);
             self.current_stamp = 1;
         }
         self.current_stamp
+    }
+
+    /// Label `node` on `side` at `dist` for the search stamped `stamp`.
+    #[inline]
+    fn label(&mut self, side: usize, node: NodeId, dist: Distance, stamp: u32) {
+        let label = &mut self.labels[node as usize];
+        label.stamp[side] = stamp;
+        label.dist[side] = dist;
     }
 
     /// Exact distance between `s` and `t` in `graph`, or `None` when
@@ -91,30 +117,22 @@ impl BidirBfsScratch {
     /// overlays as well as frozen CSR graphs.
     pub fn distance<G: Adjacency>(&mut self, graph: &G, s: NodeId, t: NodeId) -> Option<Distance> {
         let n = graph.node_count();
-        self.ensure_capacity(n);
-        self.operations = 0;
-        self.last_meeting = None;
         if (s as usize) >= n || (t as usize) >= n {
+            self.last_meeting = None;
+            self.operations = 0;
             return None;
         }
+        let stamp = self.begin(n);
+        self.label(FWD, s, 0, stamp);
+        self.label(BWD, t, 0, stamp);
         if s == t {
+            // Labelled on both sides, so `last_path` sees the lone node.
             self.last_meeting = Some(s);
             return Some(0);
         }
-        let stamp = self.bump_stamp();
-
-        self.queue_fwd.clear();
-        self.queue_bwd.clear();
-        self.stamp_fwd[s as usize] = stamp;
-        self.dist_fwd[s as usize] = 0;
-        self.parent_fwd[s as usize] = s;
-        self.queue_fwd.push_back(s);
-        self.stamp_bwd[t as usize] = stamp;
-        self.dist_bwd[t as usize] = 0;
-        self.parent_bwd[t as usize] = t;
-        self.queue_bwd.push_back(t);
-
-        self.run(graph, stamp, 0, 0, INFINITY, None)
+        self.queues[FWD].push_back(s);
+        self.queues[BWD].push_back(t);
+        self.run(graph, stamp, [0, 0], INFINITY, None)
     }
 
     /// Exact distance between two *seeded* search regions: a bidirectional
@@ -137,9 +155,8 @@ impl BidirBfsScratch {
     ///
     /// Overlapping seed sets are handled (the overlap is treated as a set
     /// of meeting candidates), though an oracle miss implies disjoint
-    /// balls. After a seeded search, [`BidirBfsScratch::last_meeting`]
-    /// reports the meeting node but paths cannot be reconstructed (seed
-    /// parents are unknown to the scratch).
+    /// balls. After a seeded search, [`BidirBfsScratch::last_path`]
+    /// reconstructs a shortest path from the distance labels.
     pub fn distance_seeded<G: Adjacency, F, B>(
         &mut self,
         graph: &G,
@@ -152,14 +169,35 @@ impl BidirBfsScratch {
         F: IntoIterator<Item = (NodeId, Distance)>,
         B: IntoIterator<Item = (NodeId, Distance)>,
     {
-        let n = graph.node_count();
-        self.ensure_capacity(n);
-        self.operations = 0;
-        self.last_meeting = None;
-        let stamp = self.bump_stamp();
+        self.distance_seeded_bounded(
+            graph, fwd_seeds, fwd_radius, bwd_seeds, bwd_radius, INFINITY,
+        )
+    }
 
-        self.queue_fwd.clear();
-        self.queue_bwd.clear();
+    /// [`BidirBfsScratch::distance_seeded`] with a proven upper bound on
+    /// the answer: `upper` must be the length of some real path between
+    /// the two seed centres (`INFINITY` when none is known). The search
+    /// starts with `upper` as its best distance, so it stops as soon as
+    /// the frontier radii prove no shorter path exists
+    /// (`radius_fwd + radius_bwd + 1 >= upper`) instead of expanding until
+    /// the frontiers meet. The answer is the same as the unbounded
+    /// search's; when the bound itself is the answer and no meeting node
+    /// was reached, [`BidirBfsScratch::last_meeting`] is `None`.
+    pub fn distance_seeded_bounded<G: Adjacency, F, B>(
+        &mut self,
+        graph: &G,
+        fwd_seeds: F,
+        fwd_radius: Distance,
+        bwd_seeds: B,
+        bwd_radius: Distance,
+        upper: Distance,
+    ) -> Option<Distance>
+    where
+        F: IntoIterator<Item = (NodeId, Distance)>,
+        B: IntoIterator<Item = (NodeId, Distance)>,
+    {
+        let n = graph.node_count();
+        let stamp = self.begin(n);
         // Stamp every seed; only the outermost shell needs to live in the
         // queue, because an interior node's neighbours are all inside the
         // ball already (distance <= radius - 1 implies every neighbour is
@@ -167,109 +205,85 @@ impl BidirBfsScratch {
         // proportional to the boundary shell, not the whole ball.
         for (node, distance) in fwd_seeds {
             debug_assert!((node as usize) < n && distance <= fwd_radius);
-            self.stamp_fwd[node as usize] = stamp;
-            self.dist_fwd[node as usize] = distance;
-            self.parent_fwd[node as usize] = node;
+            self.label(FWD, node, distance, stamp);
             if distance == fwd_radius {
-                self.queue_fwd.push_back(node);
+                self.queues[FWD].push_back(node);
             }
         }
-        let mut best: Distance = INFINITY;
+        let mut best: Distance = upper;
         let mut meeting: Option<NodeId> = None;
         for (node, distance) in bwd_seeds {
             debug_assert!((node as usize) < n && distance <= bwd_radius);
-            self.stamp_bwd[node as usize] = stamp;
-            self.dist_bwd[node as usize] = distance;
-            self.parent_bwd[node as usize] = node;
+            self.label(BWD, node, distance, stamp);
             if distance == bwd_radius {
-                self.queue_bwd.push_back(node);
+                self.queues[BWD].push_back(node);
             }
-            if self.stamp_fwd[node as usize] == stamp {
-                let total = self.dist_fwd[node as usize] + distance;
-                if total < best {
-                    best = total;
-                    meeting = Some(node);
-                }
+            let label = self.labels[node as usize];
+            if label.stamp[FWD] == stamp && label.dist[FWD] + distance < best {
+                best = label.dist[FWD] + distance;
+                meeting = Some(node);
             }
         }
 
-        self.run(graph, stamp, fwd_radius, bwd_radius, best, meeting)
+        self.run(graph, stamp, [fwd_radius, bwd_radius], best, meeting)
     }
 
     /// Level-synchronous bidirectional expansion over pre-seeded queues.
-    /// `radius_fwd` / `radius_bwd` are the distances through which each
-    /// side is already complete; `best` / `meeting` carry any meeting
-    /// already discovered during seeding.
+    /// `radius[side]` is the distance through which that side is already
+    /// complete (its queue holds exactly the nodes at that distance);
+    /// `best` is a proven upper bound on the answer (`INFINITY` when none
+    /// is known) and `meeting` the node that attains it, if a meeting
+    /// already attains it.
+    ///
+    /// The search ends at the first meeting of a level expansion, which is
+    /// the distance: the other side has only stamped nodes within its
+    /// radius, and every path shorter than `radius[FWD] + radius[BWD] + 1`
+    /// would already have met. It also ends once the radii prove that no
+    /// undiscovered path beats `best`.
     fn run<G: Adjacency>(
         &mut self,
         graph: &G,
         stamp: u32,
-        mut radius_fwd: Distance,
-        mut radius_bwd: Distance,
+        mut radius: [Distance; 2],
         mut best: Distance,
         mut meeting: Option<NodeId>,
     ) -> Option<Distance> {
-        while !self.queue_fwd.is_empty() && !self.queue_bwd.is_empty() {
-            // Termination: no undiscovered path can beat `best` once the
-            // frontier radii sum to at least it.
-            if best != INFINITY && radius_fwd + radius_bwd + 1 >= best {
+        'search: while !self.queues[FWD].is_empty() && !self.queues[BWD].is_empty() {
+            if best != INFINITY && radius[FWD] + radius[BWD] + 1 >= best {
                 break;
             }
             // Expand the smaller frontier by one full level.
-            let expand_forward = self.queue_fwd.len() <= self.queue_bwd.len();
-            if expand_forward {
-                let level = self.dist_fwd[*self.queue_fwd.front().expect("non-empty") as usize];
-                while let Some(&u) = self.queue_fwd.front() {
-                    if self.dist_fwd[u as usize] != level {
-                        break;
-                    }
-                    self.queue_fwd.pop_front();
-                    self.operations += 1;
-                    let du = self.dist_fwd[u as usize];
-                    for &v in graph.neighbors(u) {
-                        if self.stamp_fwd[v as usize] != stamp {
-                            self.stamp_fwd[v as usize] = stamp;
-                            self.dist_fwd[v as usize] = du + 1;
-                            self.parent_fwd[v as usize] = u;
-                            self.queue_fwd.push_back(v);
-                            if self.stamp_bwd[v as usize] == stamp {
-                                let total = du + 1 + self.dist_bwd[v as usize];
-                                if total < best {
-                                    best = total;
-                                    meeting = Some(v);
-                                }
-                            }
-                        }
-                    }
-                }
-                radius_fwd = level + 1;
+            let side = if self.queues[FWD].len() <= self.queues[BWD].len() {
+                FWD
             } else {
-                let level = self.dist_bwd[*self.queue_bwd.front().expect("non-empty") as usize];
-                while let Some(&u) = self.queue_bwd.front() {
-                    if self.dist_bwd[u as usize] != level {
-                        break;
-                    }
-                    self.queue_bwd.pop_front();
-                    self.operations += 1;
-                    let du = self.dist_bwd[u as usize];
-                    for &v in graph.neighbors(u) {
-                        if self.stamp_bwd[v as usize] != stamp {
-                            self.stamp_bwd[v as usize] = stamp;
-                            self.dist_bwd[v as usize] = du + 1;
-                            self.parent_bwd[v as usize] = u;
-                            self.queue_bwd.push_back(v);
-                            if self.stamp_fwd[v as usize] == stamp {
-                                let total = du + 1 + self.dist_fwd[v as usize];
-                                if total < best {
-                                    best = total;
-                                    meeting = Some(v);
-                                }
-                            }
-                        }
-                    }
+                BWD
+            };
+            let other = 1 - side;
+            let level = radius[side];
+            while let Some(&u) = self.queues[side].front() {
+                if self.labels[u as usize].dist[side] != level {
+                    break;
                 }
-                radius_bwd = level + 1;
+                self.queues[side].pop_front();
+                self.operations += 1;
+                for &v in graph.neighbors(u) {
+                    let label = &mut self.labels[v as usize];
+                    if label.stamp[side] == stamp {
+                        continue;
+                    }
+                    label.stamp[side] = stamp;
+                    label.dist[side] = level + 1;
+                    if label.stamp[other] == stamp {
+                        let total = level + 1 + label.dist[other];
+                        debug_assert!(total <= best, "meeting {total} beyond bound {best}");
+                        best = total;
+                        meeting = Some(v);
+                        break 'search;
+                    }
+                    self.queues[side].push_back(v);
+                }
             }
+            radius[side] = level + 1;
         }
 
         if best == INFINITY {
@@ -281,34 +295,50 @@ impl BidirBfsScratch {
     }
 
     /// Shortest path between `s` and `t`, or `None` when unreachable. Runs
-    /// a fresh search so the parent arrays are in scope for reconstruction.
+    /// a fresh search so its distance labels are in scope for
+    /// reconstruction.
     pub fn path<G: Adjacency>(&mut self, graph: &G, s: NodeId, t: NodeId) -> Option<Vec<NodeId>> {
         self.distance(graph, s, t)?;
-        if s == t {
-            return Some(vec![s]);
-        }
-        let meeting = self
-            .last_meeting
-            .expect("successful search records a meeting node");
-        Some(self.reconstruct(s, t, meeting))
+        self.last_path(graph)
     }
 
-    fn reconstruct(&self, s: NodeId, t: NodeId, meeting: NodeId) -> Vec<NodeId> {
-        // Forward half: meeting -> s, reversed.
-        let mut forward = vec![meeting];
-        let mut cur = meeting;
-        while cur != s {
-            cur = self.parent_fwd[cur as usize];
-            forward.push(cur);
+    /// A shortest path through the meeting node of the most recent search
+    /// on `graph`, plain or seeded, from the forward centre to the
+    /// backward centre. `None` when that search recorded no meeting node:
+    /// it failed, or its upper bound settled the answer before the
+    /// frontiers met.
+    ///
+    /// Rebuilt from the distance labels alone: from the meeting node each
+    /// side steps to any neighbour it stamped one level closer to its
+    /// centre, which is a shortest-path predecessor because stamped labels
+    /// are exact BFS distances.
+    pub fn last_path<G: Adjacency>(&self, graph: &G) -> Option<Vec<NodeId>> {
+        let meeting = self.last_meeting?;
+        let mut path = self.descend(graph, FWD, meeting);
+        path.reverse();
+        path.extend_from_slice(&self.descend(graph, BWD, meeting)[1..]);
+        Some(path)
+    }
+
+    /// Walk `side`'s labels down from `from` to its distance-0 centre,
+    /// returning the visited nodes in walk order (`from` first).
+    fn descend<G: Adjacency>(&self, graph: &G, side: usize, from: NodeId) -> Vec<NodeId> {
+        let stamp = self.current_stamp;
+        let mut walk = vec![from];
+        let mut cur = from;
+        while self.labels[cur as usize].dist[side] > 0 {
+            let want = self.labels[cur as usize].dist[side] - 1;
+            cur = *graph
+                .neighbors(cur)
+                .iter()
+                .find(|&&v| {
+                    let label = &self.labels[v as usize];
+                    label.stamp[side] == stamp && label.dist[side] == want
+                })
+                .expect("a stamped node one level closer neighbours every labelled node");
+            walk.push(cur);
         }
-        forward.reverse();
-        // Backward half: meeting -> t (skip the meeting node itself).
-        let mut cur = meeting;
-        while cur != t {
-            cur = self.parent_bwd[cur as usize];
-            forward.push(cur);
-        }
-        forward
+        walk
     }
 }
 
@@ -486,6 +516,47 @@ mod tests {
             1,
         );
         assert_eq!(seeded, None);
+    }
+
+    #[test]
+    fn upper_bound_does_not_change_the_answer() {
+        use vicinity_graph::algo::bfs::bounded_bfs;
+        let g = SocialGraphConfig::small_test().generate(13);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut scratch = BidirBfsScratch::new();
+        let mut uni = BfsEngine::new(&g);
+        let mut settled = 0;
+        for (s, t) in random_pairs(&g, 200, &mut rng) {
+            let Some(d) = uni.distance(s, t) else {
+                continue;
+            };
+            let radius = 1.min(d / 2);
+            let ball = |c| -> Vec<(u32, u32)> {
+                bounded_bfs(&g, c, radius)
+                    .iter()
+                    .map(|v| (v.node, v.distance))
+                    .collect()
+            };
+            for upper in [d, d + 1, INFINITY] {
+                let got =
+                    scratch.distance_seeded_bounded(&g, ball(s), radius, ball(t), radius, upper);
+                assert_eq!(got, Some(d), "pair ({s},{t}) upper {upper}");
+                match scratch.last_meeting() {
+                    Some(_) => {
+                        let p = scratch.last_path(&g).unwrap();
+                        assert_eq!(validate_path(&g, s, t, &p), Some(d), "pair ({s},{t})");
+                    }
+                    None => {
+                        assert_eq!(upper, d, "only an exact bound settles without a meeting");
+                        settled += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            settled > 0,
+            "an exact bound should settle some searches early"
+        );
     }
 
     #[test]

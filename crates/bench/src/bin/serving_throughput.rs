@@ -1,6 +1,7 @@
 //! Serving-throughput experiment: `QueryService` batch throughput and
 //! latency percentiles across thread counts and cache configurations, on
-//! each stand-in dataset.
+//! each stand-in dataset. The `settled` column is the share of fallback
+//! answers the index's landmark bounds settled without a search.
 //!
 //! This is the serving-layer companion of `table3_query_time`: instead of
 //! single-threaded per-query latency, it measures what one machine
@@ -33,7 +34,7 @@ fn main() {
         .unwrap_or(100_000);
 
     println!(
-        "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9}",
+        "{:<12} {:>8} {:>7} {:>9} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9}",
         "dataset",
         "threads",
         "cache",
@@ -42,6 +43,7 @@ fn main() {
         "p50",
         "p99",
         "fallback",
+        "settled",
         "cachehit"
     );
 
@@ -75,7 +77,7 @@ fn main() {
                 assert_eq!(answers.len(), pairs.len());
                 let stats = service.stats();
                 println!(
-                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>8.2}%",
+                    "{:<12} {:>8} {:>7} {:>9} {:>9.0}q/s {:>10.2?} {:>10.2?} {:>8.2}% {:>8.2}% {:>8.2}%",
                     dataset.name,
                     threads,
                     cache_capacity,
@@ -84,13 +86,14 @@ fn main() {
                     stats.latency.percentile(50.0),
                     stats.latency.percentile(99.0),
                     stats.fallback_rate() * 100.0,
+                    stats.fallback_settled_rate() * 100.0,
                     stats.cache_hit_rate() * 100.0,
                 );
                 json_rows.push(format!(
                     "{{\"graph\": \"{}\", \"nodes\": {}, \"alpha\": {}, \"threads\": {threads}, \
                      \"cache\": {cache_capacity}, \"queries\": {}, \"qps\": {:.0}, \
                      \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"fallback_pct\": {:.3}, \
-                     \"cache_hit_pct\": {:.3}}}",
+                     \"fallback_settled_pct\": {:.3}, \"cache_hit_pct\": {:.3}}}",
                     dataset.name,
                     graph.node_count(),
                     Alpha::PAPER_DEFAULT.value(),
@@ -99,6 +102,7 @@ fn main() {
                     stats.latency.percentile(50.0).as_secs_f64() * 1e6,
                     stats.latency.percentile(99.0).as_secs_f64() * 1e6,
                     stats.fallback_rate() * 100.0,
+                    stats.fallback_settled_rate() * 100.0,
                     stats.cache_hit_rate() * 100.0,
                 ));
             }

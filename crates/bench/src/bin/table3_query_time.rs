@@ -111,6 +111,7 @@ fn main() {
     println!();
     println!("Columns mirror Table 3 of the paper. 'hit rate' is the fraction of queries");
     println!("answered by the index alone (the paper reports >99.9% on the full-size");
-    println!("datasets; the scaled stand-ins are lower — see EXPERIMENTS.md). Times are");
+    println!("datasets; the scaled stand-ins are lower — servebench/README.md reports the");
+    println!("measured rate on the 100k stand-in). Times are");
     println!("wall-clock per query on this machine; compare the *ratios*, not the values.");
 }

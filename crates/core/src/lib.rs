@@ -77,5 +77,5 @@ pub use config::{Alpha, OracleConfig, SamplingStrategy};
 pub use dynamic::{DynamicOracle, DynamicSnapshot, OverlayGraph, UpdateError};
 pub use error::{OracleError, Result};
 pub use index::VicinityOracle;
-pub use query::{DistanceAnswer, PathAnswer, QueryIndex, QueryStats};
+pub use query::{DistanceAnswer, LandmarkBounds, PathAnswer, QueryIndex, QueryStats};
 pub use vicinity::{VicinityRef, VicinityStore};

@@ -15,7 +15,7 @@
 //! and the caller may fall back to an exact or approximate engine
 //! ([`crate::fallback`]).
 
-use vicinity_graph::{Adjacency, Distance, NodeId};
+use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
 use crate::index::{LandmarkEntry, LandmarkTable, VicinityOracle};
 use crate::vicinity::VicinityRef;
@@ -259,6 +259,66 @@ pub trait QueryIndex {
     /// dereferences.
     #[inline]
     fn hint_query_spans(&self, _u: NodeId, _probe: NodeId, _want_paths: bool) {}
+
+    /// Triangle bounds on `d(s, t)` from the nearest-landmark rows of the
+    /// two vicinities' owners — the same bounds Algorithm 1 prunes with.
+    /// See [`LandmarkBounds`].
+    #[inline]
+    fn landmark_bounds(&self, vs: VicinityRef<'_>, vt: VicinityRef<'_>) -> LandmarkBounds {
+        landmark_bounds_counted(self, vs, vt, &mut 0)
+    }
+}
+
+/// Bounds on `d(s, t)` read from the two nearest-landmark rows, with
+/// `r_u = d(u, ℓ(u))` the ball radius of `u`:
+///
+/// * `lower = max(|r_s − d(ℓ(s), t)|, |r_t − d(ℓ(t), s)|)` by the triangle
+///   inequality (0 when neither row holds an exact entry);
+/// * `upper = min(r_s + d(ℓ(s), t), r_t + d(ℓ(t), s))`, the length of a
+///   real walk through a landmark (`INFINITY` when neither row holds an
+///   exact entry).
+///
+/// A row entry that is unreachable or saturated contributes no bound, and
+/// neither does an endpoint without a reachable landmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LandmarkBounds {
+    /// Proven lower bound on `d(s, t)`.
+    pub lower: Distance,
+    /// Proven upper bound on `d(s, t)`, or `INFINITY`.
+    pub upper: Distance,
+}
+
+/// [`QueryIndex::landmark_bounds`], adding one lookup per nearest-landmark
+/// row consulted — the count Algorithm 1 reports in [`QueryStats`].
+#[inline]
+fn landmark_bounds_counted<I: QueryIndex + ?Sized>(
+    index: &I,
+    vs: VicinityRef<'_>,
+    vt: VicinityRef<'_>,
+    lookups: &mut u64,
+) -> LandmarkBounds {
+    let mut bounds = LandmarkBounds {
+        lower: 0,
+        upper: INFINITY,
+    };
+    for (vicinity, other_endpoint) in [(vs, vt.owner()), (vt, vs.owner())] {
+        let Some(landmark) = vicinity.nearest_landmark() else {
+            continue;
+        };
+        *lookups += 1;
+        if let Some(table) = index.landmark_row_of(landmark) {
+            // `None` here means unreachable from the landmark *or* a
+            // distance saturating the row's u16 storage, so it cannot be
+            // treated as a definitive "disconnected" — skip the bound.
+            if let Some(d_other) = table.distance_to(other_endpoint) {
+                // d(ℓ(u), u) is the ball radius by definition.
+                let radius = vicinity.radius();
+                bounds.lower = bounds.lower.max(radius.abs_diff(d_other));
+                bounds.upper = bounds.upper.min(radius.saturating_add(d_other));
+            }
+        }
+    }
+    bounds
 }
 
 /// Algorithm 1 over any [`QueryIndex`] view; the single implementation
@@ -335,8 +395,7 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
     // * Cases 3 and 4 failing proves `d(s,t) > max(r_s, r_t)` (for
     //   unweighted graphs the vicinity is exactly the radius-`r` ball).
     // * The nearest-landmark rows give the triangle bound
-    //   `|d(ℓ,s) − d(ℓ,t)| ≤ d(s,t)` — and a landmark reaching one
-    //   endpoint but not the other proves the endpoints disconnected.
+    //   `|d(ℓ,s) − d(ℓ,t)| ≤ d(s,t)` (see `LandmarkBounds`).
     //
     // The resulting lower bound serves twice: when it exceeds
     // `r_s + r_t` the balls provably do not intersect (certified miss,
@@ -344,24 +403,8 @@ pub(crate) fn distance_with_stats_on<I: QueryIndex + ?Sized>(
     // the first witness attaining the bound — on social graphs most
     // shortest paths run through early-scanned hub witnesses, so this
     // usually ends the scan after a handful of merge steps.
-    let mut lower_bound = vs.radius().max(vt.radius()) + 1;
-    for (vicinity, other_endpoint) in [(vs, t), (vt, s)] {
-        let Some(landmark) = vicinity.nearest_landmark() else {
-            continue;
-        };
-        stats.lookups += 1;
-        if let Some(table) = index.landmark_row_of(landmark) {
-            // `None` here means unreachable from the landmark *or* a
-            // distance saturating the row's u16 storage, so it cannot
-            // be treated as a definitive "disconnected" — skip the
-            // bound and let the scan (and, on a miss, the fallback)
-            // decide.
-            if let Some(d_other) = table.distance_to(other_endpoint) {
-                // d(ℓ(u), u) is the ball radius by definition.
-                lower_bound = lower_bound.max(vicinity.radius().abs_diff(d_other));
-            }
-        }
-    }
+    let triangle = landmark_bounds_counted(index, vs, vt, &mut stats.lookups);
+    let lower_bound = (vs.radius().max(vt.radius()) + 1).max(triangle.lower);
     if lower_bound > vs.radius() + vt.radius() {
         return (DistanceAnswer::Miss, stats);
     }

@@ -11,7 +11,7 @@
 //! Generated graphs are cached on disk (binary format) keyed by name, scale
 //! and generator seed, so repeated experiment runs skip regeneration.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use vicinity_graph::csr::CsrGraph;
@@ -89,7 +89,8 @@ impl StandIn {
 
     /// Query-time results reported in Table 3 of the paper for this dataset
     /// (average look-ups, our-technique ms, BFS ms, bidirectional-BFS ms,
-    /// speed-up vs bidirectional BFS). Used by `EXPERIMENTS.md` comparisons.
+    /// speed-up vs bidirectional BFS), printed beside the measured figures by
+    /// `table3_query_time`.
     pub fn paper_table3(&self) -> PaperTable3Row {
         match self {
             StandIn::Dblp => PaperTable3Row {
@@ -259,10 +260,16 @@ impl Dataset {
         if let Some(real) = crate::loader::try_load_real(which) {
             return real;
         }
+        Self::stand_in_cached(which, scale, &cache_dir())
+    }
+
+    /// A generated stand-in, loaded from the graph cache under `dir` when
+    /// present there and generated (then saved there) otherwise.
+    fn stand_in_cached(which: StandIn, scale: Scale, dir: &Path) -> Dataset {
         let _guard = CACHE_LOCK
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let cache_path = cache_path(which, scale);
+        let cache_path = cache_path(dir, which, scale);
         if let Ok(graph) = binary::load(&cache_path) {
             return Dataset {
                 name: which.name().to_string(),
@@ -321,8 +328,8 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| std::env::temp_dir().join("vicinity-cache"))
 }
 
-fn cache_path(which: StandIn, scale: Scale) -> PathBuf {
-    cache_dir().join(format!(
+fn cache_path(dir: &Path, which: StandIn, scale: Scale) -> PathBuf {
+    dir.join(format!(
         "standin-{}-{}-seed{}.vgr",
         which.name().to_lowercase(),
         scale.name(),
@@ -401,13 +408,11 @@ mod tests {
     #[test]
     fn cache_round_trip() {
         let dir = std::env::temp_dir().join(format!("vicinity-cache-test-{}", std::process::id()));
-        std::env::set_var("VICINITY_CACHE_DIR", &dir);
-        let a = Dataset::stand_in(StandIn::Dblp, Scale::Tiny);
-        assert!(cache_path(StandIn::Dblp, Scale::Tiny).exists());
-        let b = Dataset::stand_in(StandIn::Dblp, Scale::Tiny);
+        let a = Dataset::stand_in_cached(StandIn::Dblp, Scale::Tiny, &dir);
+        assert!(cache_path(&dir, StandIn::Dblp, Scale::Tiny).exists());
+        let b = Dataset::stand_in_cached(StandIn::Dblp, Scale::Tiny, &dir);
         assert_eq!(a.graph, b.graph);
         std::fs::remove_dir_all(&dir).ok();
-        std::env::remove_var("VICINITY_CACHE_DIR");
     }
 
     #[test]

@@ -659,6 +659,18 @@ mod tests {
     }
 
     #[test]
+    fn bound_settled_fallbacks_merge_and_reset() {
+        let service = small_service(28, 0, 2);
+        let pairs: Vec<(NodeId, NodeId)> = (0..400u32).map(|i| (i, 1999 - i)).collect();
+        service.serve_batch(&pairs);
+        let stats = service.stats();
+        assert!(stats.fallbacks_settled > 0, "α=4 misses are mostly settled");
+        assert!(stats.fallbacks_settled <= stats.fallbacks);
+        service.reset_stats();
+        assert_eq!(service.stats().fallbacks_settled, 0);
+    }
+
+    #[test]
     fn out_of_range_ids_are_misses_not_unreachable() {
         let service = small_service(27, 64, 1);
         let bogus = 10_000_000u32;

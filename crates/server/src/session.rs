@@ -26,7 +26,8 @@
 //! and cache hits are peeled off first, duplicate pairs inside the batch
 //! collapse onto one resolution, the remaining pairs run through the
 //! oracle's software-prefetch batch engine, and only index misses fall
-//! back to the per-session bidirectional BFS (which runs on the epoch's
+//! back — to the landmark bounds the index already proved when they meet,
+//! else to the per-session bidirectional BFS (which runs on the epoch's
 //! graph view — frozen CSR or dynamic overlay — through the shared
 //! [`Adjacency`] abstraction). Latency recorded by `serve_into` is
 //! **batch-amortised** (the batch's wall time divided over its queries)
@@ -36,8 +37,6 @@
 //! Sessions return their scratch buffers to the service's pool and merge
 //! their statistics into the service aggregate when dropped, so repeated
 //! batches reuse allocations instead of growing new ones.
-//!
-//! [`Adjacency`]: vicinity_graph::Adjacency
 
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -48,7 +47,7 @@ use vicinity_core::index::VicinityOracle;
 use vicinity_core::query::{DistanceAnswer, QueryIndex, QueryStats};
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
-use vicinity_graph::{Distance, NodeId};
+use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 
 use crate::cache::{CachedAnswer, QueryCache};
 use crate::stats::{ServedMethod, ServerStats};
@@ -146,49 +145,70 @@ impl EpochOracle {
         }
     }
 
-    /// Exact fallback for an index miss, on this epoch's graph view. When
-    /// both endpoints have stored vicinities, the bidirectional BFS is
-    /// *seeded* with them: the index already holds each endpoint's exact
-    /// distance ball, so the search stamps the ball interiors and resumes
-    /// expansion from the ball boundaries. Misses are precisely the
-    /// queries whose balls do not intersect, which is the seeding
-    /// contract — and under the dynamic overlay the balls consulted are
-    /// the patched ones, so seeding stays exact across updates.
+    /// Exact fallback for an index miss, on this epoch's graph view (see
+    /// [`bounded_fallback`]). Counts bound-settled misses in `settled`.
     fn fallback_distance(
         &self,
         scratch: &mut BidirBfsScratch,
         s: NodeId,
         t: NodeId,
+        settled: &mut u64,
     ) -> Option<Distance> {
         match self {
             EpochOracle::Frozen { oracle, graph } => {
-                match (oracle.vicinity(s), oracle.vicinity(t)) {
-                    (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => scratch
-                        .distance_seeded(
-                            graph.as_ref(),
-                            vs.iter(),
-                            vs.radius(),
-                            vt.iter(),
-                            vt.radius(),
-                        ),
-                    _ => scratch.distance(graph.as_ref(), s, t),
-                }
+                bounded_fallback(oracle.as_ref(), graph.as_ref(), scratch, s, t, settled)
             }
             EpochOracle::Dynamic(snapshot) => {
-                match (snapshot.vicinity_of(s), snapshot.vicinity_of(t)) {
-                    (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => scratch
-                        .distance_seeded(
-                            snapshot.graph(),
-                            vs.iter(),
-                            vs.radius(),
-                            vt.iter(),
-                            vt.radius(),
-                        ),
-                    _ => scratch.distance(snapshot.graph(), s, t),
-                }
+                bounded_fallback(snapshot, snapshot.graph(), scratch, s, t, settled)
             }
         }
     }
+}
+
+/// Exact distance for a pair the index missed, from the bounds the index
+/// has already proved wherever they suffice, by a search otherwise.
+///
+/// A miss proves the closed balls `B(s, r_s)` and `B(t, r_t)` disjoint, so
+/// `d(s, t) ≥ r_s + r_t + 1`; the nearest-landmark rows add the triangle
+/// lower bound and an upper bound `r + d(ℓ, ·)` that is the length of a
+/// real path ([`QueryIndex::landmark_bounds`]). When the two meet, the
+/// upper bound is the answer and no search runs (`settled` counts these).
+/// Otherwise the bidirectional BFS is *seeded* with the two balls — it
+/// stamps the ball interiors and resumes expansion from their boundaries —
+/// and starts from the upper bound, so it stops as soon as its frontier
+/// radii prove nothing shorter exists. Under the dynamic overlay the balls
+/// and rows consulted are the patched ones, so both stay exact across
+/// updates. Landmark endpoints have empty vicinities and keep the plain
+/// search.
+fn bounded_fallback<I: QueryIndex + ?Sized, G: Adjacency>(
+    index: &I,
+    graph: &G,
+    scratch: &mut BidirBfsScratch,
+    s: NodeId,
+    t: NodeId,
+    settled: &mut u64,
+) -> Option<Distance> {
+    let (vs, vt) = match (index.vicinity_of(s), index.vicinity_of(t)) {
+        (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => (vs, vt),
+        _ => return scratch.distance(graph, s, t),
+    };
+    let bounds = index.landmark_bounds(vs, vt);
+    let lower = bounds
+        .lower
+        .max(vs.radius().saturating_add(vt.radius()).saturating_add(1));
+    if bounds.upper != INFINITY && lower >= bounds.upper {
+        debug_assert_eq!(lower, bounds.upper, "bounds crossed for ({s},{t})");
+        *settled += 1;
+        return Some(bounds.upper);
+    }
+    scratch.distance_seeded_bounded(
+        graph,
+        vs.iter(),
+        vs.radius(),
+        vt.iter(),
+        vt.radius(),
+        bounds.upper,
+    )
 }
 
 /// Result of one served query.
@@ -394,7 +414,12 @@ impl WorkerSession {
                 ServedAnswer::Unreachable
             }
             DistanceAnswer::Miss if self.shared.fallback => {
-                match epoch.oracle.fallback_distance(&mut self.scratch, s, t) {
+                match epoch.oracle.fallback_distance(
+                    &mut self.scratch,
+                    s,
+                    t,
+                    &mut self.stats.fallbacks_settled,
+                ) {
                     Some(distance) => {
                         self.cache_store(epoch, s, t, CachedAnswer::Exact(distance));
                         ServedAnswer::Exact {

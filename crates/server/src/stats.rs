@@ -153,6 +153,10 @@ pub struct ServerStats {
     pub index_hits: u64,
     /// Queries resolved by the per-worker fallback search.
     pub fallbacks: u64,
+    /// Index misses the fallback settled from the index's landmark bounds
+    /// alone, without a search. These are also served (and counted in
+    /// `fallbacks`) as fallback answers.
+    pub fallbacks_settled: u64,
     /// Queries served from the result cache.
     pub cache_hits: u64,
     /// Queries whose endpoints are provably disconnected.
@@ -212,6 +216,7 @@ impl ServerStats {
         self.queries += other.queries;
         self.index_hits += other.index_hits;
         self.fallbacks += other.fallbacks;
+        self.fallbacks_settled += other.fallbacks_settled;
         self.cache_hits += other.cache_hits;
         self.unreachable += other.unreachable;
         self.misses += other.misses;
@@ -255,6 +260,15 @@ impl ServerStats {
         (self.fallbacks + self.misses) as f64 / self.queries as f64
     }
 
+    /// Fraction of fallback answers the landmark bounds settled without a
+    /// search.
+    pub fn fallback_settled_rate(&self) -> f64 {
+        if self.fallbacks == 0 {
+            return 0.0;
+        }
+        self.fallbacks_settled as f64 / self.fallbacks as f64
+    }
+
     /// Method histogram as `(label, count)` pairs, skipping empty slots.
     pub fn method_histogram(&self) -> Vec<(&'static str, u64)> {
         Self::METHOD_NAMES
@@ -289,6 +303,11 @@ impl ServerStats {
             out,
             "fallback/miss    {:.3}% of queries",
             self.fallback_rate() * 100.0
+        );
+        let _ = writeln!(
+            out,
+            "fallback settled {:.2}% by landmark bounds (no search)",
+            self.fallback_settled_rate() * 100.0
         );
         let _ = writeln!(out, "index lookups    {}", self.index_work.lookups);
         let _ = writeln!(out, "answer methods:");
@@ -350,6 +369,7 @@ mod tests {
         );
         w1.record(ServedMethod::Cache, Some(Duration::from_nanos(200)));
         w2.record(ServedMethod::Fallback, Some(Duration::from_micros(80)));
+        w2.fallbacks_settled += 1;
         w2.record(ServedMethod::Unreachable, None);
         w2.record(ServedMethod::Miss, None);
 
@@ -360,6 +380,8 @@ mod tests {
         assert_eq!(total.index_hits, 1);
         assert_eq!(total.cache_hits, 1);
         assert_eq!(total.fallbacks, 1);
+        assert_eq!(total.fallbacks_settled, 1);
+        assert!((total.fallback_settled_rate() - 1.0).abs() < 1e-12);
         assert_eq!(total.unreachable, 1);
         assert_eq!(total.misses, 1);
         assert_eq!(total.latency.count(), 3);
@@ -391,5 +413,6 @@ mod tests {
         assert!(report.contains("throughput"));
         assert!(report.contains("cache"));
         assert!(report.contains("p99"));
+        assert!(report.contains("landmark bounds"));
     }
 }
