@@ -13,17 +13,31 @@
 //! Results are also written as the `serving_throughput` section of
 //! `BENCH_query.json` (see `vicinity_bench::bench_json`) so serving-layer
 //! throughput is tracked across PRs alongside the `query_batch` numbers.
+//!
+//! `--smoke` is the serving-layer correctness gate instead: on a 4k-node
+//! social graph it serves a set of distinct pairs twice, with the result
+//! cache off and on, checks every answer against `BfsEngine`, and checks
+//! that the cache holds exactly the answers the first pass searched and
+//! that the second pass serves exactly those from it (and nothing from a
+//! disabled one). It exits non-zero on any mismatch.
 
 use rand::SeedableRng;
 
+use vicinity_baselines::bfs::BfsEngine;
+use vicinity_baselines::PointToPoint;
 use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{print_header, timed, ExperimentEnv};
 use vicinity_core::config::Alpha;
 use vicinity_core::OracleBuilder;
 use vicinity_graph::algo::sampling::random_pairs;
-use vicinity_server::QueryService;
+use vicinity_graph::fast_hash::FastMap;
+use vicinity_graph::generators::social::SocialGraphConfig;
+use vicinity_server::{QueryCache, QueryService};
 
 fn main() {
+    if std::env::args().any(|a| a == "--smoke") {
+        std::process::exit(if smoke() == 0 { 0 } else { 1 });
+    }
     let env = ExperimentEnv::from_env();
     print_header("serving throughput (QueryService)", &env);
     let mut json_rows: Vec<String> = Vec::new();
@@ -134,4 +148,98 @@ fn main() {
             env.scale.name()
         );
     }
+}
+
+/// The `--smoke` gate; returns the number of failed checks.
+fn smoke() -> usize {
+    let graph = SocialGraphConfig::default()
+        .with_nodes(4_000)
+        .generate(2012);
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .seed(2012)
+        .store_paths(false)
+        .build(&graph);
+    // Distinct pairs only (one orientation each), so the searches the
+    // first pass runs are exactly `fallbacks - fallbacks_settled`.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut seen = FastMap::default();
+    let pairs: Vec<_> = random_pairs(&graph, 4_000, &mut rng)
+        .into_iter()
+        .filter(|&(s, t)| seen.insert(QueryCache::key(s, t), ()).is_none())
+        .collect();
+    let mut bfs = BfsEngine::new(&graph);
+    let expected: Vec<_> = pairs.iter().map(|&(s, t)| bfs.distance(s, t)).collect();
+    println!(
+        "serving smoke: {} nodes, {} distinct pairs, alpha {}",
+        graph.node_count(),
+        pairs.len(),
+        Alpha::PAPER_DEFAULT.value()
+    );
+
+    let mut failures = 0;
+    for cache_capacity in [0usize, 1 << 16] {
+        let service = QueryService::builder(oracle.clone(), graph.clone())
+            .threads(2)
+            .cache_capacity(cache_capacity)
+            .build()
+            .expect("oracle and graph agree");
+        let mut searched = 0;
+        for pass in 1..=2 {
+            service.reset_stats();
+            let answers = service.serve_batch(&pairs);
+            for ((&(s, t), answer), &want) in pairs.iter().zip(&answers).zip(&expected) {
+                if answer.distance() != want || answer.is_miss() {
+                    eprintln!(
+                        "FAIL: cache {cache_capacity} pass {pass}: served ({s},{t}) = {answer:?}, \
+                         BFS says {want:?}"
+                    );
+                    failures += 1;
+                }
+            }
+            let stats = service.stats();
+            println!(
+                "cache {cache_capacity:>6} pass {pass}: index {} fallback {} (settled {}) \
+                 cache {} unreachable {}",
+                stats.index_hits,
+                stats.fallbacks,
+                stats.fallbacks_settled,
+                stats.cache_hits,
+                stats.unreachable
+            );
+            if pass == 1 {
+                searched = stats.fallbacks - stats.fallbacks_settled;
+                if stats.cache_hits != 0 {
+                    eprintln!("FAIL: a cold cache served {} answers", stats.cache_hits);
+                    failures += 1;
+                }
+                let want_held = if cache_capacity > 0 { searched } else { 0 };
+                if service.cached_answers() as u64 != want_held {
+                    eprintln!(
+                        "FAIL: cache {cache_capacity} holds {} answers, expected {want_held} \
+                         (the searched ones only)",
+                        service.cached_answers()
+                    );
+                    failures += 1;
+                }
+            } else {
+                let want_hits = if cache_capacity > 0 { searched } else { 0 };
+                if stats.cache_hits != want_hits {
+                    eprintln!(
+                        "FAIL: cache {cache_capacity}: second pass served {} cache hits, \
+                         expected {want_hits} (the first pass's searches)",
+                        stats.cache_hits
+                    );
+                    failures += 1;
+                }
+            }
+        }
+        if cache_capacity > 0 && searched == 0 {
+            eprintln!("FAIL: no pair needed a search, so the cache went untested");
+            failures += 1;
+        }
+    }
+    if failures == 0 {
+        println!("serving smoke: OK");
+    }
+    failures
 }

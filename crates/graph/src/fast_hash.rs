@@ -54,7 +54,13 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write_u64(&mut self, value: u64) {
-        self.mix(value);
+        // A plain multiply carries bits only upward, so the low bits a
+        // `HashMap` picks buckets by would depend on the key's low bits
+        // alone: pair keys `(min << 32) | max` sharing their larger
+        // endpoint would all probe from one bucket. Folding the high half
+        // of the full product back in brings every input bit down.
+        let product = u128::from(self.state.rotate_left(5) ^ value) * u128::from(SEED);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
     }
 
     #[inline]
@@ -101,6 +107,24 @@ mod tests {
         // bits, which is what HashMap buckets use.
         let build = FxBuildHasher::default();
         let mut low_bits: Vec<u64> = (0u32..1024).map(|k| build.hash_one(k) & 0xFF).collect();
+        low_bits.sort_unstable();
+        low_bits.dedup();
+        assert!(
+            low_bits.len() > 200,
+            "only {} distinct low bytes",
+            low_bits.len()
+        );
+    }
+
+    #[test]
+    fn distributes_keys_that_differ_only_in_high_bits() {
+        // Pair keys `(min << 32) | max` of pairs sharing their larger
+        // endpoint differ only in the high half; they must still spread
+        // over the low bits.
+        let build = FxBuildHasher::default();
+        let mut low_bits: Vec<u64> = (0u64..1024)
+            .map(|lo| build.hash_one((lo << 32) | 90_000) & 0xFF)
+            .collect();
         low_bits.sort_unstable();
         low_bits.dedup();
         assert!(

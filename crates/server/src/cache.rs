@@ -1,12 +1,14 @@
 //! Bounded, sharded LRU cache for distance answers.
 //!
-//! Social-network query traffic is heavily skewed (hot users appear in many
-//! queries), so a small cache in front of the oracle absorbs repeated pairs
-//! at the cost of one hash probe. Keys are normalised `(min, max)` pairs —
-//! the graphs are undirected, so `d(s,t) = d(t,s)` and both orientations
-//! share an entry. Only *definitive* answers (exact distances and proven
-//! unreachability) are cached; index misses are not, so enabling a fallback
-//! later still resolves them.
+//! The serving pipeline puts this cache *behind* the oracle: the index
+//! answers a pair faster than a probe and an insert together cost, so only
+//! the answers of fallback searches — index misses the landmark bounds do
+//! not settle — are memoised, and a repeated searched pair skips the
+//! search at the cost of one hash probe (see `crate::session`). Keys are
+//! normalised `(min, max)` pairs — the graphs are undirected, so
+//! `d(s,t) = d(t,s)` and both orientations share an entry. Only
+//! *definitive* answers (exact distances and proven unreachability) are
+//! cached.
 //!
 //! The cache is split into independently locked shards to keep worker
 //! threads from serialising on one lock; each shard is a classic
@@ -42,11 +44,16 @@
 //! ever shows write-lock pressure from mid-list hits, the next lever is
 //! probabilistic recency updates (refresh on every k-th hit), not more
 //! shards.
+//!
+//! Hit and miss counts live in each shard and are bumped under the shard
+//! lock the probe already holds, so probes on different shards never
+//! touch a shared counter; shards are cache-line aligned for the same
+//! reason. [`QueryCache::hits`] and [`QueryCache::misses`] sum them.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
+use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Distance, NodeId};
 
 /// Sentinel stored for "provably unreachable".
@@ -101,24 +108,41 @@ struct Node {
     next: u32,
 }
 
-/// One LRU shard: slab-backed doubly linked list + index map.
+/// One LRU shard: slab-backed doubly linked list + index map, plus its
+/// probe counters. Aligned to a cache line so neighbouring shards' locks
+/// and counters never share one.
+#[repr(align(64))]
 struct Shard {
-    map: HashMap<u64, u32>,
+    map: FastMap<u64, u32>,
     nodes: Vec<Node>,
     head: u32,
     tail: u32,
     capacity: usize,
+    /// Probe hits. Atomic because read-lock holders bump it too.
+    hits: AtomicU64,
+    /// Probe misses (absent or stale-epoch entries).
+    misses: AtomicU64,
 }
 
 impl Shard {
     fn new(capacity: usize) -> Self {
+        let prealloc = capacity.min(PREALLOC_ENTRIES);
         Shard {
-            map: HashMap::with_capacity(capacity.min(PREALLOC_ENTRIES)),
-            nodes: Vec::with_capacity(capacity.min(PREALLOC_ENTRIES)),
+            map: FastMap::with_capacity_and_hasher(prealloc, Default::default()),
+            nodes: Vec::with_capacity(prealloc),
             head: NIL,
             tail: NIL,
             capacity,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
+    }
+
+    /// Count one probe outcome. Callers hold this shard's lock (read or
+    /// write), so the counter only ever sees this shard's probes.
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -229,8 +253,6 @@ pub struct QueryCache {
     /// Bit mask selecting a shard from a key hash (shard count is a power
     /// of two).
     shard_mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl QueryCache {
@@ -244,8 +266,6 @@ impl QueryCache {
                 .map(|_| RwLock::new(Shard::new(per_shard)))
                 .collect(),
             shard_mask: (shard_count - 1) as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -276,26 +296,26 @@ impl QueryCache {
     pub fn get(&self, s: NodeId, t: NodeId, epoch: u64) -> Option<CachedAnswer> {
         let key = Self::key(s, t);
         let shard = self.shard_of(key);
-        let peeked = shard.read().expect("cache shard poisoned").peek(key, epoch);
-        let found = match peeked {
-            Some((raw, true)) => Some(raw),
-            Some((_, false)) => {
-                // Re-probe under the write lock: the entry may have moved
-                // or been evicted between the two acquisitions.
-                shard.write().expect("cache shard poisoned").get(key, epoch)
-            }
-            None => None,
-        };
-        match found {
-            Some(raw) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(CachedAnswer::decode(raw))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        {
+            let guard = shard.read().expect("cache shard poisoned");
+            match guard.peek(key, epoch) {
+                Some((raw, true)) => {
+                    guard.count(true);
+                    return Some(CachedAnswer::decode(raw));
+                }
+                None => {
+                    guard.count(false);
+                    return None;
+                }
+                Some((_, false)) => {}
             }
         }
+        // Re-probe under the write lock: the entry may have moved or been
+        // evicted between the two acquisitions.
+        let mut guard = shard.write().expect("cache shard poisoned");
+        let found = guard.get(key, epoch);
+        guard.count(found.is_some());
+        found.map(CachedAnswer::decode)
     }
 
     /// Store a definitive answer for `(s, t)` computed under oracle
@@ -323,14 +343,21 @@ impl QueryCache {
         self.len() == 0
     }
 
-    /// Probe hits since construction (all threads).
+    /// Probe hits since construction (all threads, summed over shards).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.sum_counter(|shard| &shard.hits)
     }
 
-    /// Probe misses since construction (all threads).
+    /// Probe misses since construction (all threads, summed over shards).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.sum_counter(|shard| &shard.misses)
+    }
+
+    fn sum_counter(&self, counter: impl Fn(&Shard) -> &AtomicU64) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| counter(&s.read().expect("cache shard poisoned")).load(Ordering::Relaxed))
+            .sum()
     }
 }
 

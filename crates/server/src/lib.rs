@@ -7,9 +7,9 @@
 //! deployment needs more than a data structure: the index must be shared
 //! across worker threads without replication, the <0.1 % of queries whose
 //! vicinities do not intersect need a fallback path that never allocates
-//! per query, repeated (hot-pair) traffic should be absorbed by a cache,
-//! and operators need latency percentiles and answer-method breakdowns.
-//! This crate provides exactly that serving layer:
+//! per query, repeated searches should be memoised, and operators need
+//! latency percentiles and answer-method breakdowns. This crate provides
+//! exactly that serving layer:
 //!
 //! * [`QueryService`] — wraps one immutable oracle build and its graph in
 //!   `Arc`s; any number of workers query the same index concurrently with
@@ -22,7 +22,8 @@
 //! * [`QueryService::serve_batch`] — sharded batch execution over scoped
 //!   threads, answers in input order.
 //! * [`QueryCache`] — a bounded, sharded LRU over normalised `(min, max)`
-//!   pairs caching definitive answers only.
+//!   pairs. It sits behind the index and memoises only the answers of
+//!   fallback searches (misses the landmark bounds do not settle).
 //! * [`ServerStats`] — throughput, latency histogram (p50/p99/max),
 //!   answer-method histogram, cache hit rate and fallback rate.
 //!

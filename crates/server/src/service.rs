@@ -12,7 +12,7 @@ use vicinity_graph::NodeId;
 
 use crate::cache::QueryCache;
 use crate::session::{Epoch, ServedAnswer, SharedState, WorkerSession};
-use crate::stats::{ServedMethod, ServerStats};
+use crate::stats::ServerStats;
 
 /// Errors raised when assembling a [`QueryService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +76,11 @@ impl QueryServiceBuilder {
     }
 
     /// Enable a bounded LRU result cache holding up to `capacity` answers
-    /// (`0` disables caching, the default).
+    /// (`0` disables caching, the default). The cache memoises the answers
+    /// of fallback searches — index misses the landmark bounds do not
+    /// settle — so a repeated searched pair skips the search; pairs the
+    /// index or the bounds answer never touch it. With
+    /// [`QueryServiceBuilder::fallback`] disabled it does nothing.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -240,10 +244,11 @@ impl OracleWriter {
 /// The oracle and graph live behind `Arc`s; worker sessions share them
 /// without replication (the paper's §5 open question, answered within one
 /// machine: the index is immutable after construction, so the hot path
-/// needs no synchronisation at all). Misses are resolved by per-worker
-/// allocation-free bidirectional BFS, repeated pairs by a sharded LRU
-/// result cache, and every query feeds a latency/method/work statistics
-/// aggregate.
+/// needs no synchronisation at all). Index misses are settled from the
+/// landmark bounds where they meet and otherwise by per-worker
+/// allocation-free bidirectional BFS, whose answers an optional sharded
+/// LRU result cache memoises; every query feeds a latency/method/work
+/// statistics aggregate.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -340,9 +345,9 @@ impl QueryService {
     /// worker threads. Answers are returned in input order.
     ///
     /// Each worker's shard runs through [`WorkerSession::serve_into`], so
-    /// the whole path is batched end to end: cache peel-off, intra-shard
-    /// duplicate collapsing, the oracle's software-prefetch pipeline, and
-    /// fallback only for true misses. Latency samples recorded by batch
+    /// the whole path is batched end to end: duplicate collapsing, the
+    /// oracle's software-prefetch pipeline, and fallback (landmark bounds,
+    /// then the memoised search) only for true misses. Latency samples recorded by batch
     /// serving are batch-amortised (see `crate::session`).
     pub fn serve_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
         let wall_start = Instant::now();
@@ -357,17 +362,12 @@ impl QueryService {
         if pairs.is_empty() {
             return Vec::new();
         }
-        // Deduplicate the batch before sharding, cache or no cache: every
-        // repeated (normalised) pair resolves once, and the duplicates are
-        // filled in afterwards. With a result cache the repeats are
-        // reported as cache-served — which they are, the write-back having
-        // completed before the fill; without one they adopt the first
-        // occurrence's answer and method verbatim. Either way this makes
+        // Deduplicate the batch before sharding: every repeated
+        // (normalised) pair resolves once, and each duplicate adopts its
+        // first occurrence's answer and method verbatim. This makes
         // duplicate handling a *deterministic* property of a batch instead
         // of a cross-worker timing race, and stops two workers from
-        // redundantly resolving the same pair — cacheless services no
-        // longer pay full query cost for duplicate-heavy batches.
-        let report_cache = self.shared.cache.is_some();
+        // redundantly resolving the same pair.
         let mut seen: FastMap<u64, u32> =
             FastMap::with_capacity_and_hasher(pairs.len(), Default::default());
         let mut unique: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
@@ -381,38 +381,21 @@ impl QueryService {
         }
         if unique.len() < pairs.len() {
             let unique_answers = self.serve_shards(&unique);
-            let mut answers = Vec::with_capacity(pairs.len());
-            let mut first_seen = vec![false; unique.len()];
-            let mut duplicate_methods: Vec<ServedMethod> = Vec::new();
-            for &slot in &slots {
-                let resolved = unique_answers[slot as usize];
-                if !std::mem::replace(&mut first_seen[slot as usize], true) {
-                    answers.push(resolved);
-                    continue;
-                }
-                let answer = match resolved {
-                    ServedAnswer::Exact { distance, .. } if report_cache => ServedAnswer::Exact {
-                        distance,
-                        method: ServedMethod::Cache,
-                    },
-                    other => other,
-                };
-                duplicate_methods.push(match answer {
-                    ServedAnswer::Exact { method, .. } => method,
-                    ServedAnswer::Unreachable => ServedMethod::Unreachable,
-                    ServedAnswer::Miss => ServedMethod::Miss,
-                });
-                answers.push(answer);
-            }
-            // Account the duplicates (their uniques were recorded by
-            // the worker sessions); no latency sample — they cost
-            // only the fill-in.
+            // Account the duplicates (their uniques were recorded by the
+            // worker sessions); no latency sample — they cost only the
+            // fill-in.
             if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-                for method in duplicate_methods {
-                    aggregate.record(method, None);
+                let mut first_seen = vec![false; unique.len()];
+                for &slot in &slots {
+                    if std::mem::replace(&mut first_seen[slot as usize], true) {
+                        aggregate.record(unique_answers[slot as usize].accounted_method(), None);
+                    }
                 }
             }
-            return answers;
+            return slots
+                .iter()
+                .map(|&slot| unique_answers[slot as usize])
+                .collect();
         }
         self.serve_shards(pairs)
     }
@@ -470,6 +453,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::settle_from_bounds;
     use crate::stats::ServedMethod;
     use rand::SeedableRng;
     use vicinity_baselines::bfs::BfsEngine;
@@ -538,21 +522,77 @@ mod tests {
         );
     }
 
+    /// Pairs `(i, n-1-i)` of `service`'s graph, split by how the pipeline
+    /// resolves them: answered by the index, settled by the landmark
+    /// bounds, or searched.
+    fn pairs_by_resolution(service: &QueryService) -> [Vec<(NodeId, NodeId)>; 3] {
+        let oracle = service.oracle();
+        let n = oracle.node_count() as NodeId;
+        let mut split: [Vec<(NodeId, NodeId)>; 3] = Default::default();
+        for s in 0..n / 2 {
+            let t = n - 1 - s;
+            let class = if !oracle.distance(s, t).is_miss() {
+                0
+            } else if settle_from_bounds(oracle.as_ref(), s, t).is_ok() {
+                1
+            } else {
+                2
+            };
+            split[class].push((s, t));
+        }
+        split
+    }
+
     #[test]
     fn cache_serves_repeated_pairs() {
+        // The cache memoises fallback searches only: serving a batch again
+        // turns exactly its searched pairs into cache hits, with identical
+        // distances, while index and bound-settled answers are recomputed.
         let service = small_service(23, 4096, 1);
-        let pairs: Vec<(NodeId, NodeId)> = vec![(1, 900), (2, 800), (900, 1), (1, 900)];
-        let answers = service.serve_batch(&pairs);
-        // (900,1) normalises to the same key as (1,900): second and third
-        // occurrences must come from the cache with identical distances.
-        assert_eq!(answers[0].distance(), answers[2].distance());
-        assert_eq!(answers[0].distance(), answers[3].distance());
-        assert_eq!(answers[2].method(), Some(ServedMethod::Cache));
-        assert_eq!(answers[3].method(), Some(ServedMethod::Cache));
-        let stats = service.stats();
-        assert_eq!(stats.cache_hits, 2);
-        assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-12);
-        assert!(service.cached_answers() >= 2);
+        let pairs: Vec<(NodeId, NodeId)> = (0..400u32).map(|i| (i, 1999 - i)).collect();
+        let first = service.serve_batch(&pairs);
+        let before = service.stats();
+        let searched = before.fallbacks - before.fallbacks_settled;
+        assert!(searched > 0, "some misses must need the search");
+        assert_eq!(before.cache_hits, 0, "a cold cache serves nothing");
+        assert_eq!(before.unreachable, 0, "the social graph is connected");
+        assert_eq!(service.cached_answers() as u64, searched);
+
+        service.reset_stats();
+        let second = service.serve_batch(&pairs);
+        let after = service.stats();
+        assert_eq!(after.cache_hits, searched);
+        assert_eq!(after.index_hits, before.index_hits);
+        assert_eq!(after.fallbacks, before.fallbacks_settled);
+        assert_eq!(after.fallbacks_settled, before.fallbacks_settled);
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.distance(), b.distance());
+            if b.method() != Some(ServedMethod::Cache) {
+                assert_eq!(a.method(), b.method());
+            }
+        }
+        assert_eq!(service.cached_answers() as u64, searched);
+    }
+
+    #[test]
+    fn index_and_bound_settled_answers_are_never_cached() {
+        let service = small_service(32, 4096, 1);
+        let [answered, settled, _] = pairs_by_resolution(&service);
+        assert!(!answered.is_empty() && !settled.is_empty());
+
+        let answers = service.serve_batch(&answered);
+        assert!(answers
+            .iter()
+            .all(|a| matches!(a.method(), Some(ServedMethod::Index(_)))));
+        assert_eq!(service.cached_answers(), 0);
+
+        let answers = service.serve_batch(&settled);
+        assert!(answers
+            .iter()
+            .all(|a| a.method() == Some(ServedMethod::Fallback)));
+        assert_eq!(service.stats().fallbacks_settled, settled.len() as u64);
+        assert_eq!(service.cached_answers(), 0);
+        assert_eq!(service.stats().cache_hits, 0);
     }
 
     #[test]
@@ -615,7 +655,7 @@ mod tests {
         assert!(answers[0].is_unreachable());
         assert!(
             answers[1].is_unreachable(),
-            "second ask may come from cache, still unreachable"
+            "the duplicate adopts the first answer: still unreachable"
         );
         assert_eq!(answers[2].distance(), Some(2));
     }
@@ -727,29 +767,76 @@ mod tests {
             "duplicates must not pay index work beyond the unique set"
         );
 
-        // Cached configuration: same answers, duplicates reported as
-        // cache-served.
+        // Cached configuration: duplicates carry their first occurrence's
+        // answer and method verbatim too, also when the first occurrence
+        // was searched (and later when it is a cache hit).
         let cached = small_service(31, 1024, 1);
-        let cached_answers = cached.serve_batch(&duplicate_heavy);
-        assert_eq!(
-            cached_answers
-                .iter()
-                .map(|a| a.distance())
-                .collect::<Vec<_>>(),
-            answers.iter().map(|a| a.distance()).collect::<Vec<_>>()
+        let searched = pairs_by_resolution(&cached)[2][0];
+        let mut with_search = duplicate_heavy.clone();
+        with_search.extend([searched, (searched.1, searched.0), searched]);
+        let cached_answers = cached.serve_batch(&with_search);
+        assert_eq!(cached_answers[..6], answers[..]);
+        assert_eq!(cached_answers[6].method(), Some(ServedMethod::Fallback));
+        assert_eq!(cached_answers[7], cached_answers[6]);
+        assert_eq!(cached_answers[8], cached_answers[6]);
+        assert_eq!(cached.stats().cache_hits, 0);
+        let again = cached.serve_batch(&with_search);
+        assert_eq!(again[6].method(), Some(ServedMethod::Cache));
+        assert_eq!(again[6].distance(), cached_answers[6].distance());
+        assert_eq!(again[7], again[6]);
+        assert_eq!(again[8], again[6]);
+        assert_eq!(cached.stats().cache_hits, 3);
+    }
+
+    #[test]
+    fn memoised_searches_are_not_served_across_an_update() {
+        // A grid's misses mostly need the search. The memoised answers are
+        // served before an update and searched again after it.
+        let graph = classic::grid(16, 16);
+        let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+            .seed(8)
+            .build(&graph);
+        let (service, mut writer) = QueryService::builder(oracle, graph)
+            .threads(1)
+            .cache_capacity(1024)
+            .build_updatable()
+            .unwrap();
+        let searched = pairs_by_resolution(&service)[2].clone();
+        assert!(!searched.is_empty(), "the grid must need searches");
+
+        let first = service.serve_batch(&searched);
+        assert!(first
+            .iter()
+            .all(|a| a.method() == Some(ServedMethod::Fallback)));
+        let second = service.serve_batch(&searched);
+        assert!(second
+            .iter()
+            .all(|a| a.method() == Some(ServedMethod::Cache)));
+        assert_eq!(service.stats().cache_hits, searched.len() as u64);
+
+        assert!(writer.insert_edge(0, 255).unwrap());
+        service.reset_stats();
+        let updated = writer.oracle().graph().to_csr();
+        let answers = service.serve_batch(&searched);
+        let mut bfs = BfsEngine::new(&updated);
+        for (&(s, t), answer) in searched.iter().zip(&answers) {
+            assert_eq!(answer.distance(), bfs.distance(s, t), "pair ({s},{t})");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.cache_hits, 0, "no pre-update answer is served");
+        assert!(
+            stats.fallbacks > stats.fallbacks_settled,
+            "post-update misses are searched again"
         );
-        assert_eq!(cached_answers[1].method(), Some(ServedMethod::Cache));
-        assert_eq!(cached.stats().index_work, reference.stats().index_work);
     }
 
     #[test]
     fn updatable_service_swaps_epochs_and_invalidates_cache() {
         // A long path: distance(0, 9) = 9. Insert a shortcut, serve, then
         // remove it again — each published epoch must be reflected
-        // immediately, and the epoch-stamped cache must never serve a
-        // pre-update answer (this is exactly the workload that would leak
-        // a stale cached 9 after the insert, or a stale 1 after the
-        // removal).
+        // immediately, never a stale 9 after the insert or a stale 1 after
+        // the removal. (Memoised searches across an update are pinned by
+        // `memoised_searches_are_not_served_across_an_update`.)
         let graph = classic::path(10);
         let oracle = OracleBuilder::new(Alpha::new(2.0).unwrap())
             .seed(5)

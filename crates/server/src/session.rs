@@ -9,6 +9,16 @@
 //! no matter how many sessions run in parallel. The only shared mutable
 //! structure is the (optional) result cache, which is internally sharded.
 //!
+//! ## The result cache sits behind the index
+//!
+//! The index answers a pair in well under a microsecond, less than one
+//! cache probe and one insert cost together, so the cache is never
+//! consulted for pairs the index answers. It memoises only the answers of
+//! fallback *searches*: a miss is first checked against the landmark
+//! bounds the index already proved (settled pairs are neither probed nor
+//! cached), and only a pair that still needs the seeded search probes the
+//! cache, runs the search on a cache miss, and stores the result.
+//!
 //! ## Epochs
 //!
 //! A static service keeps one frozen [`Epoch`] forever (id 0). An
@@ -19,20 +29,20 @@
 //! against one consistent oracle version end to end. Cache entries are
 //! stamped with the epoch that produced them and validated against the
 //! reading session's epoch, so once a session observes a post-update
-//! epoch it can never be served a pre-update cached answer.
+//! epoch it can never be served a pre-update memoised search answer.
 //!
 //! Batches go through [`WorkerSession::serve_into`], which stages the
 //! work instead of looping over [`WorkerSession::serve_one`]: bad requests
-//! and cache hits are peeled off first, duplicate pairs inside the batch
-//! collapse onto one resolution, the remaining pairs run through the
-//! oracle's software-prefetch batch engine, and only index misses fall
-//! back — to the landmark bounds the index already proved when they meet,
-//! else to the per-session bidirectional BFS (which runs on the epoch's
-//! graph view — frozen CSR or dynamic overlay — through the shared
-//! [`Adjacency`] abstraction). Latency recorded by `serve_into` is
-//! **batch-amortised** (the batch's wall time divided over its queries)
-//! rather than per-query — the honest number for a batched engine, and
-//! the one `serving_throughput` reports.
+//! are peeled off first, duplicate pairs inside the batch collapse onto
+//! one resolution, the remaining pairs run through the oracle's
+//! software-prefetch batch engine, and only index misses fall back — to
+//! the landmark bounds when they meet, else to the cache and the
+//! per-session bidirectional BFS (which runs on the epoch's graph view —
+//! frozen CSR or dynamic overlay — through the shared [`Adjacency`]
+//! abstraction). Latency recorded by `serve_into` is **batch-amortised**
+//! (the batch's wall time divided over its queries) rather than per-query
+//! — the honest number for a batched engine, and the one
+//! `serving_throughput` reports.
 //!
 //! Sessions return their scratch buffers to the service's pool and merge
 //! their statistics into the service aggregate when dropped, so repeated
@@ -45,6 +55,7 @@ use vicinity_baselines::bidirectional_bfs::BidirBfsScratch;
 use vicinity_core::dynamic::DynamicSnapshot;
 use vicinity_core::index::VicinityOracle;
 use vicinity_core::query::{DistanceAnswer, QueryIndex, QueryStats};
+use vicinity_core::vicinity::VicinityRef;
 use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
@@ -54,8 +65,8 @@ use crate::stats::{ServedMethod, ServerStats};
 
 /// Queries per staged block of [`WorkerSession::serve_into`]. Large enough
 /// to amortise the pipeline's staging sweeps and keep plenty of
-/// independent misses in flight, small enough that cache write-backs from
-/// one block are visible to the next (and to concurrently serving
+/// independent misses in flight, small enough that memoised search answers
+/// from one block are visible to the next (and to concurrently serving
 /// sessions) at fine granularity — and that epoch swaps published by a
 /// writer thread are observed promptly mid-batch.
 const SERVE_BLOCK: usize = 64;
@@ -144,53 +155,39 @@ impl EpochOracle {
             }
         }
     }
+}
 
-    /// Exact fallback for an index miss, on this epoch's graph view (see
-    /// [`bounded_fallback`]). Counts bound-settled misses in `settled`.
-    fn fallback_distance(
-        &self,
-        scratch: &mut BidirBfsScratch,
-        s: NodeId,
-        t: NodeId,
-        settled: &mut u64,
-    ) -> Option<Distance> {
-        match self {
-            EpochOracle::Frozen { oracle, graph } => {
-                bounded_fallback(oracle.as_ref(), graph.as_ref(), scratch, s, t, settled)
-            }
-            EpochOracle::Dynamic(snapshot) => {
-                bounded_fallback(snapshot, snapshot.graph(), scratch, s, t, settled)
-            }
-        }
+/// The balls of both endpoints, which seed the fallback search; `None`
+/// when either endpoint is a landmark (empty vicinity).
+fn seed_balls<I: QueryIndex + ?Sized>(
+    index: &I,
+    s: NodeId,
+    t: NodeId,
+) -> Option<(VicinityRef<'_>, VicinityRef<'_>)> {
+    match (index.vicinity_of(s), index.vicinity_of(t)) {
+        (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => Some((vs, vt)),
+        _ => None,
     }
 }
 
-/// Exact distance for a pair the index missed, from the bounds the index
-/// has already proved wherever they suffice, by a search otherwise.
+/// Bound check for a pair the index missed: `Ok(d)` when the bounds the
+/// index has already proved settle the distance, else `Err(upper)` with
+/// the upper bound (or `INFINITY`) the search starts from.
 ///
 /// A miss proves the closed balls `B(s, r_s)` and `B(t, r_t)` disjoint, so
 /// `d(s, t) ≥ r_s + r_t + 1`; the nearest-landmark rows add the triangle
 /// lower bound and an upper bound `r + d(ℓ, ·)` that is the length of a
 /// real path ([`QueryIndex::landmark_bounds`]). When the two meet, the
-/// upper bound is the answer and no search runs (`settled` counts these).
-/// Otherwise the bidirectional BFS is *seeded* with the two balls — it
-/// stamps the ball interiors and resumes expansion from their boundaries —
-/// and starts from the upper bound, so it stops as soon as its frontier
-/// radii prove nothing shorter exists. Under the dynamic overlay the balls
-/// and rows consulted are the patched ones, so both stay exact across
-/// updates. Landmark endpoints have empty vicinities and keep the plain
-/// search.
-fn bounded_fallback<I: QueryIndex + ?Sized, G: Adjacency>(
+/// upper bound is the answer. Under the dynamic overlay the balls and rows
+/// consulted are the patched ones, so the check stays exact across
+/// updates.
+pub(crate) fn settle_from_bounds<I: QueryIndex + ?Sized>(
     index: &I,
-    graph: &G,
-    scratch: &mut BidirBfsScratch,
     s: NodeId,
     t: NodeId,
-    settled: &mut u64,
-) -> Option<Distance> {
-    let (vs, vt) = match (index.vicinity_of(s), index.vicinity_of(t)) {
-        (Some(vs), Some(vt)) if !vs.is_empty() && !vt.is_empty() => (vs, vt),
-        _ => return scratch.distance(graph, s, t),
+) -> Result<Distance, Distance> {
+    let Some((vs, vt)) = seed_balls(index, s, t) else {
+        return Err(INFINITY);
     };
     let bounds = index.landmark_bounds(vs, vt);
     let lower = bounds
@@ -198,17 +195,36 @@ fn bounded_fallback<I: QueryIndex + ?Sized, G: Adjacency>(
         .max(vs.radius().saturating_add(vt.radius()).saturating_add(1));
     if bounds.upper != INFINITY && lower >= bounds.upper {
         debug_assert_eq!(lower, bounds.upper, "bounds crossed for ({s},{t})");
-        *settled += 1;
-        return Some(bounds.upper);
+        return Ok(bounds.upper);
     }
-    scratch.distance_seeded_bounded(
-        graph,
-        vs.iter(),
-        vs.radius(),
-        vt.iter(),
-        vt.radius(),
-        bounds.upper,
-    )
+    Err(bounds.upper)
+}
+
+/// Exact search for a miss the bounds did not settle, on `graph` (the
+/// epoch's graph view). The bidirectional BFS is *seeded* with the two
+/// balls — it stamps their interiors and resumes expansion from their
+/// boundaries — and starts from `upper`, so it stops as soon as its
+/// frontier radii prove nothing shorter exists. Landmark endpoints keep
+/// the plain search.
+fn bounded_search<I: QueryIndex + ?Sized, G: Adjacency>(
+    index: &I,
+    graph: &G,
+    scratch: &mut BidirBfsScratch,
+    s: NodeId,
+    t: NodeId,
+    upper: Distance,
+) -> Option<Distance> {
+    match seed_balls(index, s, t) {
+        Some((vs, vt)) => scratch.distance_seeded_bounded(
+            graph,
+            vs.iter(),
+            vs.radius(),
+            vt.iter(),
+            vt.radius(),
+            upper,
+        ),
+        None => scratch.distance(graph, s, t),
+    }
 }
 
 /// Result of one served query.
@@ -261,6 +277,15 @@ impl ServedAnswer {
         match self {
             ServedAnswer::Exact { method, .. } => Some(*method),
             _ => None,
+        }
+    }
+
+    /// The method this answer is accounted under in [`ServerStats`].
+    pub(crate) fn accounted_method(&self) -> ServedMethod {
+        match *self {
+            ServedAnswer::Exact { method, .. } => method,
+            ServedAnswer::Unreachable => ServedMethod::Unreachable,
+            ServedAnswer::Miss => ServedMethod::Miss,
         }
     }
 }
@@ -340,10 +365,10 @@ impl WorkerSession {
         }
     }
 
-    /// Serve one query through the full pipeline: result cache, oracle
-    /// index, then (for index misses) the session's allocation-free
-    /// bidirectional-BFS fallback. Definitive answers are written back to
-    /// the cache, stamped with the observed epoch.
+    /// Serve one query through the full pipeline: bad-request check,
+    /// oracle index, then (for index misses) the landmark bounds and, when
+    /// they do not settle the pair, the memoised allocation-free search
+    /// (see `WorkerSession::resolve_miss`).
     pub fn serve_one(&mut self, s: NodeId, t: NodeId) -> ServedAnswer {
         let epoch = self.shared.current_epoch();
         let start = self.shared.record_latency.then(Instant::now);
@@ -351,49 +376,27 @@ impl WorkerSession {
         let answer = self.resolve(&epoch, s, t);
 
         let latency = start.map(|st| st.elapsed());
-        let method = match answer {
-            ServedAnswer::Exact { method, .. } => method,
-            ServedAnswer::Unreachable => ServedMethod::Unreachable,
-            ServedAnswer::Miss => ServedMethod::Miss,
-        };
-        self.stats.record(method, latency);
+        self.stats.record(answer.accounted_method(), latency);
         answer
     }
 
     fn resolve(&mut self, epoch: &Epoch, s: NodeId, t: NodeId) -> ServedAnswer {
         // Unknown node ids are a bad request, not a provable
-        // disconnection: report a miss (never cached) instead of letting
-        // the fallback's out-of-range guard masquerade as "unreachable".
+        // disconnection: report a miss instead of letting the fallback's
+        // out-of-range guard masquerade as "unreachable".
         if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
             return ServedAnswer::Miss;
         }
-        if let Some(cache) = &self.shared.cache {
-            match cache.get(s, t, epoch.id) {
-                Some(CachedAnswer::Exact(d)) => {
-                    return ServedAnswer::Exact {
-                        distance: d,
-                        method: ServedMethod::Cache,
-                    }
-                }
-                // A cached "unreachable" is recorded under `unreachable`
-                // (not `cache_hits`) so the definitive-answer accounting
-                // stays exact; the internal cache counters still see the
-                // probe hit.
-                Some(CachedAnswer::Unreachable) => return ServedAnswer::Unreachable,
-                None => {}
-            }
-        }
-
         let answer = epoch
             .oracle
             .distance_accumulate(s, t, &mut self.stats.index_work);
         self.resolve_index_answer(epoch, s, t, answer)
     }
 
-    /// Turn a raw index answer into a served answer: write definitive
-    /// results back to the cache and resolve misses with the fallback
-    /// search (when configured). Shared by the scalar path and the batched
-    /// pipeline so their serving semantics cannot drift apart.
+    /// Turn a raw index answer into a served answer, resolving misses
+    /// through the fallback (when configured). Shared by the scalar path
+    /// and the batched pipeline so their serving semantics cannot drift
+    /// apart.
     fn resolve_index_answer(
         &mut self,
         epoch: &Epoch,
@@ -402,45 +405,70 @@ impl WorkerSession {
         answer: DistanceAnswer,
     ) -> ServedAnswer {
         match answer {
-            DistanceAnswer::Exact { distance, method } => {
-                self.cache_store(epoch, s, t, CachedAnswer::Exact(distance));
-                ServedAnswer::Exact {
-                    distance,
-                    method: ServedMethod::Index(method),
+            DistanceAnswer::Exact { distance, method } => ServedAnswer::Exact {
+                distance,
+                method: ServedMethod::Index(method),
+            },
+            DistanceAnswer::Unreachable => ServedAnswer::Unreachable,
+            DistanceAnswer::Miss if self.shared.fallback => match &epoch.oracle {
+                EpochOracle::Frozen { oracle, graph } => {
+                    self.resolve_miss(epoch.id, oracle.as_ref(), graph.as_ref(), s, t)
                 }
-            }
-            DistanceAnswer::Unreachable => {
-                self.cache_store(epoch, s, t, CachedAnswer::Unreachable);
-                ServedAnswer::Unreachable
-            }
-            DistanceAnswer::Miss if self.shared.fallback => {
-                match epoch.oracle.fallback_distance(
-                    &mut self.scratch,
-                    s,
-                    t,
-                    &mut self.stats.fallbacks_settled,
-                ) {
-                    Some(distance) => {
-                        self.cache_store(epoch, s, t, CachedAnswer::Exact(distance));
-                        ServedAnswer::Exact {
-                            distance,
-                            method: ServedMethod::Fallback,
-                        }
-                    }
-                    None => {
-                        self.cache_store(epoch, s, t, CachedAnswer::Unreachable);
-                        ServedAnswer::Unreachable
-                    }
+                EpochOracle::Dynamic(snapshot) => {
+                    self.resolve_miss(epoch.id, snapshot, snapshot.graph(), s, t)
                 }
-            }
+            },
             DistanceAnswer::Miss => ServedAnswer::Miss,
         }
     }
 
-    #[inline]
-    fn cache_store(&self, epoch: &Epoch, s: NodeId, t: NodeId, answer: CachedAnswer) {
-        if let Some(cache) = &self.shared.cache {
-            cache.insert(s, t, epoch.id, answer);
+    /// Exact answer for a pair the index missed, on one epoch's index and
+    /// graph view. The landmark bounds come first ([`settle_from_bounds`];
+    /// settled pairs are counted in `fallbacks_settled` and never touch
+    /// the cache). Only a pair that still needs a search probes the result
+    /// cache; on a cache miss the search runs and its answer is stored,
+    /// stamped with `epoch_id`. A cache hit is served as
+    /// [`ServedMethod::Cache`], a cached disconnection as
+    /// [`ServedAnswer::Unreachable`].
+    fn resolve_miss<I: QueryIndex + ?Sized, G: Adjacency>(
+        &mut self,
+        epoch_id: u64,
+        index: &I,
+        graph: &G,
+        s: NodeId,
+        t: NodeId,
+    ) -> ServedAnswer {
+        let upper = match settle_from_bounds(index, s, t) {
+            Ok(distance) => {
+                self.stats.fallbacks_settled += 1;
+                return ServedAnswer::Exact {
+                    distance,
+                    method: ServedMethod::Fallback,
+                };
+            }
+            Err(upper) => upper,
+        };
+        let cache = self.shared.cache.as_deref();
+        if let Some(cached) = cache.and_then(|c| c.get(s, t, epoch_id)) {
+            return match cached {
+                CachedAnswer::Exact(distance) => ServedAnswer::Exact {
+                    distance,
+                    method: ServedMethod::Cache,
+                },
+                CachedAnswer::Unreachable => ServedAnswer::Unreachable,
+            };
+        }
+        let distance = bounded_search(index, graph, &mut self.scratch, s, t, upper);
+        if let Some(cache) = cache {
+            let answer = distance.map_or(CachedAnswer::Unreachable, CachedAnswer::Exact);
+            cache.insert(s, t, epoch_id, answer);
+        }
+        match distance {
+            Some(distance) => ServedAnswer::Exact {
+                distance,
+                method: ServedMethod::Fallback,
+            },
+            None => ServedAnswer::Unreachable,
         }
     }
 
@@ -448,16 +476,24 @@ impl WorkerSession {
     /// order. Used by `serve_batch` workers; callers driving their own
     /// threads can equally loop over [`WorkerSession::serve_one`].
     ///
-    /// This is the batched fast path: cache hits and bad requests are
-    /// peeled off up front, duplicate pairs within the batch always
-    /// collapse onto a single resolution (with a result cache the repeats
-    /// are reported as cache-served — by the time they are answered, the
-    /// answer *is* in the cache; without one they adopt the first
-    /// occurrence's answer and method verbatim), and everything else runs
-    /// through the oracle's staged software-prefetch engine before misses
-    /// reach the fallback search. Answers and caching semantics are
-    /// identical to a [`WorkerSession::serve_one`] loop; recorded latency
-    /// is batch-amortised (batch wall time over batch size).
+    /// This is the batched fast path, in stages per 64-query block:
+    ///
+    /// 1. bad requests are peeled off and duplicate pairs collapse onto
+    ///    one resolution;
+    /// 2. the unique pairs run through the oracle's staged
+    ///    software-prefetch engine;
+    /// 3. index answers are served as they are; each miss goes to the
+    ///    landmark bounds and, when they do not settle it, to the result
+    ///    cache and then the search (see `WorkerSession::resolve_miss`);
+    /// 4. duplicates adopt their first occurrence's answer and method
+    ///    verbatim;
+    /// 5. every query is accounted.
+    ///
+    /// Answers and caching semantics are identical to a
+    /// [`WorkerSession::serve_one`] loop, except that a repeat inside one
+    /// block reports its first occurrence's method where the loop could
+    /// report a cache hit. Recorded latency is batch-amortised (batch wall
+    /// time over batch size).
     ///
     /// `out` keeps its capacity across calls: feeding same-sized batches
     /// through one session reallocates neither the output vector (when the
@@ -467,13 +503,14 @@ impl WorkerSession {
             return;
         }
         out.reserve(pairs.len());
-        // Blocks, not one monolithic sweep: a block's cache probes run
-        // after every earlier block has resolved and written back, so a
-        // repeat later in the batch (or served concurrently by another
-        // session) still finds the cache populated — the same behaviour a
-        // serve_one loop has, at block granularity. Blocks also bound the
-        // staging buffers, keep `out` writes cache-resident, and bound how
-        // long a batch can keep answering from a superseded epoch.
+        // Blocks, not one monolithic sweep: a block's searches run after
+        // every earlier block has resolved and written back, so a repeated
+        // searched pair later in the batch (or served concurrently by
+        // another session) still finds its memoised answer — the same
+        // behaviour a serve_one loop has, at block granularity. Blocks
+        // also bound the staging buffers, keep `out` writes cache-resident,
+        // and bound how long a batch can keep answering from a superseded
+        // epoch.
         for block_pairs in pairs.chunks(SERVE_BLOCK) {
             self.serve_block(block_pairs, out);
         }
@@ -486,34 +523,17 @@ impl WorkerSession {
         let base = out.len();
         let busy_start = Instant::now();
 
-        // Stage 1: peel off bad requests and cache hits; collapse
-        // intra-block duplicates onto one resolution (cacheless services
-        // dedup too — the repeat adopts the first occurrence's answer, so
-        // duplicate-heavy batches never pay the index twice for the same
-        // pair); placeholder-fill `out` so later stages can write answers
-        // by input position.
+        // Stage 1: peel off bad requests; collapse intra-block duplicates
+        // onto one resolution (the repeat adopts the first occurrence's
+        // answer, so duplicate-heavy batches never pay the index twice for
+        // the same pair); placeholder-fill `out` so later stages can write
+        // answers by input position.
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
         for (i, &(s, t)) in pairs.iter().enumerate() {
             if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
                 out.push(ServedAnswer::Miss);
                 continue;
-            }
-            if let Some(cache) = &self.shared.cache {
-                match cache.get(s, t, epoch.id) {
-                    Some(CachedAnswer::Exact(d)) => {
-                        out.push(ServedAnswer::Exact {
-                            distance: d,
-                            method: ServedMethod::Cache,
-                        });
-                        continue;
-                    }
-                    Some(CachedAnswer::Unreachable) => {
-                        out.push(ServedAnswer::Unreachable);
-                        continue;
-                    }
-                    None => {}
-                }
             }
             let key = QueryCache::key(s, t);
             if let Some(&first) = batch.seen.get(&key) {
@@ -527,8 +547,8 @@ impl WorkerSession {
             out.push(ServedAnswer::Miss); // placeholder, overwritten below
         }
 
-        // Stage 2: resolve the unique uncached pairs of the block through
-        // the staged batch engine (header prefetch → span/landmark-row
+        // Stage 2: resolve the unique pairs of the block through the
+        // staged batch engine (header prefetch → span/landmark-row
         // prefetch → warm-line resolution).
         epoch.oracle.distance_batch_accumulate(
             &batch.pending_pairs,
@@ -536,29 +556,19 @@ impl WorkerSession {
             &mut self.stats.index_work,
         );
 
-        // Stage 3: classify index answers, run the fallback for misses,
-        // write definitive answers back to the cache and into `out`.
+        // Stage 3: serve index answers; send misses through the bounds,
+        // the cache and the search.
         for idx in 0..batch.pending_pairs.len() {
             let (s, t) = batch.pending_pairs[idx];
             let answer = self.resolve_index_answer(&epoch, s, t, batch.index_answers[idx]);
             out[base + batch.pending_pos[idx] as usize] = answer;
         }
 
-        // Stage 4: duplicates adopt the first occurrence's answer. With a
-        // result cache, exact answers are cache-served by now and are
-        // reported as such; without one, the duplicate is the same answer
-        // the index (or fallback) just produced, method included —
-        // exactly what a serve_one loop would have recomputed.
-        let report_cache = self.shared.cache.is_some();
+        // Stage 4: duplicates adopt the first occurrence's answer and
+        // method verbatim — the same answer the index, bounds, cache or
+        // search just produced.
         for &(pos, first) in &batch.duplicates {
-            let source = out[base + batch.pending_pos[first as usize] as usize];
-            out[base + pos as usize] = match source {
-                ServedAnswer::Exact { distance, .. } if report_cache => ServedAnswer::Exact {
-                    distance,
-                    method: ServedMethod::Cache,
-                },
-                other => other,
-            };
+            out[base + pos as usize] = out[base + batch.pending_pos[first as usize] as usize];
         }
         self.batch = batch;
 
@@ -569,12 +579,7 @@ impl WorkerSession {
             .record_latency
             .then(|| elapsed / pairs.len() as u32);
         for answer in &out[base..] {
-            let method = match *answer {
-                ServedAnswer::Exact { method, .. } => method,
-                ServedAnswer::Unreachable => ServedMethod::Unreachable,
-                ServedAnswer::Miss => ServedMethod::Miss,
-            };
-            self.stats.record(method, per_query);
+            self.stats.record(answer.accounted_method(), per_query);
         }
         self.stats.busy_time += elapsed;
     }

@@ -119,7 +119,7 @@ pub enum ServedMethod {
     Index(AnswerMethod),
     /// Resolved by the per-worker fallback search after an index miss.
     Fallback,
-    /// Served from the result cache.
+    /// A memoised fallback search answer, served from the result cache.
     Cache,
     /// Left unanswered (index miss, fallback disabled).
     Miss,
@@ -157,7 +157,12 @@ pub struct ServerStats {
     /// alone, without a search. These are also served (and counted in
     /// `fallbacks`) as fallback answers.
     pub fallbacks_settled: u64,
-    /// Queries served from the result cache.
+    /// Index misses served from the result cache: searched pairs whose
+    /// memoised exact answer was still valid for the serving epoch. Pairs
+    /// the index or the landmark bounds answer never reach the cache, and
+    /// a cached disconnection is counted in `unreachable`. A duplicate in
+    /// one batch carries its first occurrence's method, so it counts here
+    /// only when that occurrence was a cache hit.
     pub cache_hits: u64,
     /// Queries whose endpoints are provably disconnected.
     pub unreachable: u64,

@@ -4,7 +4,9 @@
 //! stopping rule. Both must agree with plain BFS on every miss — on graphs
 //! where the bounds are tight, loose, saturated, absent (landmark-free
 //! components) or say nothing (disconnected pairs), and on dynamic-overlay
-//! snapshots after arbitrary edge updates.
+//! snapshots after arbitrary edge updates. With a result cache, the
+//! searched answers are memoised: a second pass serves exactly those from
+//! the cache and must still agree with BFS.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -46,6 +48,40 @@ fn check_every_miss(
     let stats = service.stats();
     assert!(stats.fallbacks_settled <= stats.fallbacks);
     (misses.len(), stats)
+}
+
+/// Serve `misses` (each pair once, in one orientation) twice through
+/// `service`, which has a result cache, and check both passes against
+/// `BfsEngine` on `graph`. The second pass must serve every pair the first
+/// pass searched from the cache, and nothing else. Returns the number of
+/// searched pairs.
+fn check_two_cached_passes(
+    service: &QueryService,
+    graph: &CsrGraph,
+    misses: &[(NodeId, NodeId)],
+) -> u64 {
+    let mut bfs = BfsEngine::new(graph);
+    let expected: Vec<_> = misses.iter().map(|&(s, t)| bfs.distance(s, t)).collect();
+    service.reset_stats();
+    let first = service.serve_batch(misses);
+    let cold = service.stats();
+    assert_eq!(cold.cache_hits, 0, "a fresh epoch serves nothing cached");
+    service.reset_stats();
+    let second = service.serve_batch(misses);
+    let warm = service.stats();
+    for (i, &(s, t)) in misses.iter().enumerate() {
+        assert_eq!(first[i].distance(), expected[i], "first pass ({s},{t})");
+        assert_eq!(second[i].distance(), expected[i], "second pass ({s},{t})");
+    }
+    // Searched exact answers come back as cache hits; searched
+    // disconnections stay `Unreachable`; bound-settled misses are settled
+    // again.
+    let searched = cold.fallbacks - cold.fallbacks_settled;
+    assert_eq!(warm.cache_hits, searched);
+    assert_eq!(warm.fallbacks, cold.fallbacks_settled);
+    assert_eq!(warm.fallbacks_settled, cold.fallbacks_settled);
+    assert_eq!(warm.unreachable, cold.unreachable);
+    searched
 }
 
 /// Frozen service over `graph`, one worker, no cache — so every miss
@@ -108,6 +144,31 @@ fn every_miss_is_exact_on_a_grid_where_the_search_runs() {
         "settled {} of {} fallbacks",
         stats.fallbacks_settled,
         stats.fallbacks
+    );
+}
+
+#[test]
+fn cached_passes_are_exact_on_a_grid() {
+    let graph = classic::grid(24, 24);
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .seed(5)
+        .build(&graph);
+    let n = graph.node_count();
+    let sources: Vec<NodeId> = (0..n as NodeId).step_by(7).collect();
+    let service = QueryService::builder(oracle, graph.clone())
+        .threads(1)
+        .cache_capacity(1 << 16)
+        .build()
+        .expect("oracle and graph agree");
+    let index = service.oracle().clone();
+    let misses: Vec<(NodeId, NodeId)> = rows_from(&sources, n)
+        .into_iter()
+        .filter(|&(s, t)| s < t && index.distance(s, t).is_miss())
+        .collect();
+    let searched = check_two_cached_passes(&service, &graph, &misses);
+    assert!(
+        searched > 100,
+        "the grid must need searches, saw {searched}"
     );
 }
 
@@ -249,6 +310,49 @@ fn every_miss_is_exact_on_a_churned_social_graph() {
             writer.oracle().distance(s, t).is_miss()
         });
         assert!(misses > 0, "round {round}: no misses to check");
+    }
+}
+
+#[test]
+fn cached_passes_are_exact_on_churned_snapshots() {
+    // Every round publishes new epochs, so the first pass of a round may
+    // not be served any answer memoised in an earlier round.
+    let graph = classic::grid(20, 20);
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .seed(44)
+        .build(&graph);
+    let (service, mut writer) = QueryService::builder(oracle, graph.clone())
+        .threads(1)
+        .cache_capacity(1 << 16)
+        .build_updatable()
+        .expect("oracle and graph agree");
+    let n = graph.node_count();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    let sources: Vec<NodeId> = (0..n as NodeId).step_by(9).collect();
+    for round in 0..4 {
+        let version = writer.version();
+        while writer.version() < version + 6 {
+            let (u, v) = (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId));
+            if u == v {
+                continue;
+            }
+            if rng.gen_bool(0.5) {
+                writer.insert_edge(u, v).unwrap();
+            } else {
+                let current = writer.oracle().graph().to_csr();
+                if let Some(&w) = current.neighbors(u).first() {
+                    writer.remove_edge(u, w).unwrap();
+                }
+            }
+        }
+        let current = writer.oracle().graph().to_csr();
+        let snapshot = writer.oracle().snapshot();
+        let misses: Vec<(NodeId, NodeId)> = rows_from(&sources, n)
+            .into_iter()
+            .filter(|&(s, t)| s < t && snapshot.distance(s, t).is_miss())
+            .collect();
+        let searched = check_two_cached_passes(&service, &current, &misses);
+        assert!(searched > 0, "round {round}: no searches to memoise");
     }
 }
 
