@@ -19,7 +19,12 @@
 //! cache off and on, checks every answer against `BfsEngine`, and checks
 //! that the cache holds exactly the answers the first pass searched and
 //! that the second pass serves exactly those from it (and nothing from a
-//! disabled one). It exits non-zero on any mismatch.
+//! disabled one). It then serves the same pairs twice more on one cached
+//! service as single-pair `serve_batch` calls from two threads at once (the
+//! pooled-session path), checks every answer against `BfsEngine`, that
+//! `queries` counts exactly the calls of each pass and that the second
+//! pass's `cache_hits` equal the first pass's searches. It exits non-zero on
+//! any mismatch.
 
 use rand::SeedableRng;
 
@@ -28,10 +33,13 @@ use vicinity_baselines::PointToPoint;
 use vicinity_bench::bench_json::{bench_json_path, write_bench_section};
 use vicinity_bench::{print_header, timed, ExperimentEnv};
 use vicinity_core::config::Alpha;
+use vicinity_core::index::VicinityOracle;
 use vicinity_core::OracleBuilder;
 use vicinity_graph::algo::sampling::random_pairs;
+use vicinity_graph::csr::CsrGraph;
 use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::generators::social::SocialGraphConfig;
+use vicinity_graph::{Distance, NodeId};
 use vicinity_server::{QueryCache, QueryService};
 
 fn main() {
@@ -238,8 +246,95 @@ fn smoke() -> usize {
             failures += 1;
         }
     }
+    failures += single_pair_callers(&oracle, &graph, &pairs, &expected);
     if failures == 0 {
         println!("serving smoke: OK");
+    }
+    failures
+}
+
+/// Two threads of single-pair `serve_batch` callers on one cached service,
+/// each serving half of `pairs` (distinct), in two passes; returns the
+/// number of failed checks.
+fn single_pair_callers(
+    oracle: &VicinityOracle,
+    graph: &CsrGraph,
+    pairs: &[(NodeId, NodeId)],
+    expected: &[Option<Distance>],
+) -> usize {
+    let service = QueryService::builder(oracle.clone(), graph.clone())
+        .threads(1)
+        .cache_capacity(1 << 16)
+        .build()
+        .expect("oracle and graph agree");
+    let half = pairs.len() / 2;
+    let mut failures = 0;
+    let mut searched = 0;
+    for pass in 1..=2 {
+        service.reset_stats();
+        let wrong: usize = std::thread::scope(|scope| {
+            let callers: Vec<_> = [(0, half), (half, pairs.len())]
+                .into_iter()
+                .map(|(from, to)| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let mut wrong = 0;
+                        for (&(s, t), &want) in pairs[from..to].iter().zip(&expected[from..to]) {
+                            let answer = service.serve_batch(&[(s, t)])[0];
+                            if answer.distance() != want || answer.is_miss() {
+                                eprintln!(
+                                    "FAIL: single-pair pass {pass}: served ({s},{t}) = \
+                                     {answer:?}, BFS says {want:?}"
+                                );
+                                wrong += 1;
+                            }
+                        }
+                        wrong
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|caller| caller.join().expect("caller thread panicked"))
+                .sum()
+        });
+        failures += wrong;
+        let stats = service.stats();
+        println!(
+            "single-pair callers pass {pass}: queries {} index {} fallback {} (settled {}) \
+             cache {} unreachable {}",
+            stats.queries,
+            stats.index_hits,
+            stats.fallbacks,
+            stats.fallbacks_settled,
+            stats.cache_hits,
+            stats.unreachable
+        );
+        if stats.queries != pairs.len() as u64 {
+            eprintln!(
+                "FAIL: single-pair pass {pass} accounted {} queries for {} calls",
+                stats.queries,
+                pairs.len()
+            );
+            failures += 1;
+        }
+        let want_hits = if pass == 1 {
+            searched = stats.fallbacks - stats.fallbacks_settled;
+            0
+        } else {
+            searched
+        };
+        if stats.cache_hits != want_hits {
+            eprintln!(
+                "FAIL: single-pair pass {pass} served {} cache hits, expected {want_hits}",
+                stats.cache_hits
+            );
+            failures += 1;
+        }
+    }
+    if searched == 0 {
+        eprintln!("FAIL: no single-pair call needed a search, so the cache went untested");
+        failures += 1;
     }
     failures
 }

@@ -16,11 +16,13 @@
 //!   no synchronisation on the hot path (the §5 "parallelise without
 //!   replicating" question, answered within one machine).
 //! * [`WorkerSession`] — per-worker state: a reusable, allocation-free
-//!   bidirectional-BFS scratch for index misses and private statistics.
-//!   Sessions recycle their scratch through a pool, so steady-state serving
-//!   performs no per-query allocation at all.
-//! * [`QueryService::serve_batch`] — sharded batch execution over scoped
-//!   threads, answers in input order.
+//!   bidirectional-BFS scratch for index misses, staging buffers and
+//!   private statistics. The service keeps a fixed pool of sessions alive
+//!   and serves every call on one, so steady-state serving performs no
+//!   per-query allocation and takes no service-wide lock.
+//! * [`QueryService::serve_batch`] — batch execution on pooled sessions,
+//!   sharded over scoped threads when more than one worker is configured,
+//!   answers in input order.
 //! * [`QueryCache`] — a bounded, sharded LRU over normalised `(min, max)`
 //!   pairs. It sits behind the index and memoises only the answers of
 //!   fallback searches (misses the landmark bounds do not settle).

@@ -1,13 +1,14 @@
 //! The [`QueryService`]: one oracle version shared by N workers, swapped
 //! atomically by epoch when edge updates apply.
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 use std::time::Instant;
 
 use vicinity_core::dynamic::{DynamicOracle, UpdateError};
 use vicinity_core::index::VicinityOracle;
 use vicinity_graph::csr::CsrGraph;
-use vicinity_graph::fast_hash::FastMap;
 use vicinity_graph::NodeId;
 
 use crate::cache::QueryCache;
@@ -69,7 +70,8 @@ impl QueryServiceBuilder {
     }
 
     /// Worker threads used by [`QueryService::serve_batch`]
-    /// (`0` = all available parallelism).
+    /// (`0` = all available parallelism, resolved once when the service is
+    /// built).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -157,18 +159,28 @@ impl QueryServiceBuilder {
             None => Epoch::frozen(Arc::clone(&self.oracle), Arc::clone(&self.graph)),
         };
         let epoch = Arc::new(RwLock::new(initial));
+        let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = if self.threads == 0 {
+            parallelism
+        } else {
+            self.threads
+        };
         let service = QueryService {
             shared: SharedState {
                 epoch: Arc::clone(&epoch),
                 cache,
                 fallback: self.fallback,
                 record_latency: self.record_latency,
-                aggregate: Arc::new(Mutex::new(ServerStats::default())),
-                scratch_pool: Arc::new(Mutex::new(Vec::new())),
+                nodes: self.oracle.node_count(),
             },
+            aggregate: Arc::new(Mutex::new(ServerStats::default())),
+            fold: Mutex::new(()),
+            slots: (0..2 * threads.max(parallelism))
+                .map(|_| SessionSlot::default())
+                .collect(),
             oracle: self.oracle,
             graph: self.graph,
-            threads: self.threads,
+            threads,
         };
         Ok((service, epoch))
     }
@@ -250,6 +262,14 @@ impl OracleWriter {
 /// LRU result cache memoises; every query feeds a latency/method/work
 /// statistics aggregate.
 ///
+/// Every [`QueryService::serve_batch`] call is served on one of a fixed
+/// set of pooled [`WorkerSession`]s that live as long as the service, so a
+/// call pays for its queries and not for opening a session, building a
+/// dedup map or locking the statistics aggregate. There are twice as many
+/// slots as the larger of the worker count and the machine's available
+/// parallelism; a caller claims a free one, or waits for its own when all
+/// are busy.
+///
 /// ```
 /// use std::sync::Arc;
 /// use vicinity_core::{config::Alpha, OracleBuilder};
@@ -269,13 +289,84 @@ impl OracleWriter {
 /// ```
 pub struct QueryService {
     shared: SharedState,
+    /// Statistics of dropped caller-opened sessions and of the pooled
+    /// sessions as of the last [`QueryService::stats`] call. Held only for
+    /// a merge, a clone or a reset, never while a slot is held.
+    aggregate: Arc<Mutex<ServerStats>>,
+    /// Serialises [`QueryService::stats`] and [`QueryService::reset_stats`],
+    /// so a reset cannot interleave with a fold and readmit statistics
+    /// from before it. Lock order: `fold`, then one slot at a time, then
+    /// `aggregate` after the slot is released. A thread holding a slot
+    /// takes no other lock (pooled sessions do not merge on drop), so a
+    /// slot holder always finishes.
+    fold: Mutex<()>,
+    /// The pooled sessions, opened on first use.
+    slots: Box<[SessionSlot]>,
     /// Construction-time handles, kept for [`QueryService::oracle`] /
     /// [`QueryService::graph`]. For an updatable service these are the
     /// *initial* base; the currently served version lives in the epoch
     /// slot.
     oracle: Arc<VicinityOracle>,
     graph: Arc<CsrGraph>,
+    /// Worker threads per `serve_batch` call, resolved at build time.
     threads: usize,
+}
+
+/// One pooled session, on a cache line of its own so callers claiming
+/// neighbouring slots do not contend on one line.
+#[derive(Default)]
+#[repr(align(64))]
+struct SessionSlot(Mutex<Option<WorkerSession>>);
+
+impl SessionSlot {
+    /// Claim the slot if it is free.
+    fn try_claim(&self) -> Option<MutexGuard<'_, Option<WorkerSession>>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(self.recover(poisoned.into_inner())),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Claim the slot, waiting for its holder.
+    fn claim(&self) -> MutexGuard<'_, Option<WorkerSession>> {
+        self.0
+            .lock()
+            .unwrap_or_else(|poisoned| self.recover(poisoned.into_inner()))
+    }
+
+    /// The guard of a slot whose holder panicked: the panic may have left
+    /// the session's buffers mid-update, so it is replaced by a fresh one
+    /// that keeps its statistics, and the slot serves on.
+    fn recover<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, Option<WorkerSession>>,
+    ) -> MutexGuard<'a, Option<WorkerSession>> {
+        *guard = guard.take().map(WorkerSession::reopened);
+        self.0.clear_poison();
+        guard
+    }
+}
+
+/// Source of the per-thread slot hints.
+static NEXT_SLOT_HINT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Where this thread starts looking for a free slot, so concurrent
+    /// callers start on different slots.
+    static SLOT_HINT: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// This thread's slot hint, drawn once per thread.
+fn slot_hint() -> usize {
+    SLOT_HINT.with(|hint| match hint.get() {
+        Some(drawn) => drawn,
+        None => {
+            let drawn = NEXT_SLOT_HINT.fetch_add(1, Ordering::Relaxed);
+            hint.set(Some(drawn));
+            drawn
+        }
+    })
 }
 
 impl std::fmt::Debug for QueryService {
@@ -328,126 +419,152 @@ impl QueryService {
         self.shared.cache.as_ref().map_or(0, |c| c.len())
     }
 
-    /// Effective worker-thread count for a batch of `work_items` queries.
+    /// Effective worker-thread count for a batch of `work_items` queries:
+    /// the build-time worker count, clamped to the work.
     pub fn effective_threads(&self, work_items: usize) -> usize {
-        vicinity_core::parallel::resolve_worker_threads(self.threads, work_items)
+        self.threads.clamp(1, work_items.max(1))
     }
 
-    /// Open a worker session. The session is `Send` and lock-free on its
-    /// hot path; create one per worker thread and feed it queries with
-    /// [`WorkerSession::serve_one`]. Statistics fold back into
-    /// [`QueryService::stats`] when the session drops.
+    /// Open a worker session of the caller's own, outside the service's
+    /// pool. The session is `Send` and lock-free on its hot path; it owns
+    /// its buffers (the search scratch grows on its first search). Create
+    /// one per worker thread and feed it queries with
+    /// [`WorkerSession::serve_into`] or [`WorkerSession::serve_one`]; its
+    /// statistics fold into [`QueryService::stats`] when it drops.
     pub fn session(&self) -> WorkerSession {
-        WorkerSession::new(self.shared.clone())
+        WorkerSession::new(self.shared.clone(), Some(Arc::clone(&self.aggregate)))
     }
 
     /// Answer a batch of queries, sharded over the configured number of
     /// worker threads. Answers are returned in input order.
     ///
-    /// Each worker's shard runs through [`WorkerSession::serve_into`], so
-    /// the whole path is batched end to end: duplicate collapsing, the
-    /// oracle's software-prefetch pipeline, and fallback (landmark bounds,
-    /// then the memoised search) only for true misses. Latency samples recorded by batch
-    /// serving are batch-amortised (see `crate::session`).
+    /// The call is served on pooled sessions (see [`QueryService`]); with
+    /// one worker the calling thread serves it on one session, and the only
+    /// allocation is the returned vector. With more, pair `(s, t)` goes to
+    /// the worker picked by a hash of the normalised pair, so every copy of
+    /// a pair meets in one session, whose [`WorkerSession::serve_into`]
+    /// resolves it once: duplicate collapsing, the oracle's
+    /// software-prefetch pipeline, and fallback (landmark bounds, then the
+    /// memoised search) only for true misses. Latency samples are
+    /// block-amortised (see `crate::session`); the call's wall time, up to
+    /// its last worker's end, is recorded in that worker's session.
     pub fn serve_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
-        let wall_start = Instant::now();
-        let answers = self.serve_batch_inner(pairs);
-        if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-            aggregate.wall_time += wall_start.elapsed();
-        }
-        answers
-    }
-
-    fn serve_batch_inner(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        // Deduplicate the batch before sharding: every repeated
-        // (normalised) pair resolves once, and each duplicate adopts its
-        // first occurrence's answer and method verbatim. This makes
-        // duplicate handling a *deterministic* property of a batch instead
-        // of a cross-worker timing race, and stops two workers from
-        // redundantly resolving the same pair.
-        let mut seen: FastMap<u64, u32> =
-            FastMap::with_capacity_and_hasher(pairs.len(), Default::default());
-        let mut unique: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs.len());
-        let mut slots: Vec<u32> = Vec::with_capacity(pairs.len());
-        for &(s, t) in pairs {
-            let slot = *seen.entry(QueryCache::key(s, t)).or_insert_with(|| {
-                unique.push((s, t));
-                (unique.len() - 1) as u32
-            });
-            slots.push(slot);
-        }
-        if unique.len() < pairs.len() {
-            let unique_answers = self.serve_shards(&unique);
-            // Account the duplicates (their uniques were recorded by the
-            // worker sessions); no latency sample — they cost only the
-            // fill-in.
-            if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-                let mut first_seen = vec![false; unique.len()];
-                for &slot in &slots {
-                    if std::mem::replace(&mut first_seen[slot as usize], true) {
-                        aggregate.record(unique_answers[slot as usize].accounted_method(), None);
-                    }
-                }
-            }
-            return slots
-                .iter()
-                .map(|&slot| unique_answers[slot as usize])
-                .collect();
-        }
-        self.serve_shards(pairs)
-    }
-
-    /// Shard `pairs` over worker sessions (no dedup — callers handle it).
-    fn serve_shards(&self, pairs: &[(NodeId, NodeId)]) -> Vec<ServedAnswer> {
+        let wall_start = Instant::now();
         let threads = self.effective_threads(pairs.len());
         if threads == 1 {
-            let mut session = self.session();
-            let mut answers = Vec::new();
-            session.serve_into(pairs, &mut answers);
-            return answers;
+            return self.with_session(|session| {
+                let mut answers = Vec::with_capacity(pairs.len());
+                session.serve_into(pairs, &mut answers);
+                session.stats.wall_time += wall_start.elapsed();
+                answers
+            });
         }
 
-        let chunk_size = pairs.len().div_ceil(threads);
-        let mut answers = Vec::with_capacity(pairs.len());
+        let mut shards = vec![(Vec::new(), Vec::new()); threads];
+        for (i, &(s, t)) in pairs.iter().enumerate() {
+            let (positions, shard_pairs) = &mut shards[shard_of(s, t, threads)];
+            positions.push(i as u32);
+            shard_pairs.push((s, t));
+        }
+        let mut answers = vec![ServedAnswer::Miss; pairs.len()];
+        let running = AtomicUsize::new(threads);
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in pairs.chunks(chunk_size) {
-                let mut session = self.session();
-                handles.push(scope.spawn(move || {
-                    let mut chunk_answers = Vec::new();
-                    session.serve_into(chunk, &mut chunk_answers);
-                    chunk_answers
-                }));
-            }
-            for handle in handles {
-                answers.extend(handle.join().expect("serving worker panicked"));
+            // A worker holds a slot only while it serves, never while it
+            // waits, so workers of concurrent calls cannot deadlock. The
+            // last worker to finish records the call's wall time.
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|(_, shard_pairs)| {
+                    let running = &running;
+                    scope.spawn(move || {
+                        let mut answers = Vec::with_capacity(shard_pairs.len());
+                        self.with_session(|session| {
+                            session.serve_into(shard_pairs, &mut answers);
+                            if running.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                session.stats.wall_time += wall_start.elapsed();
+                            }
+                        });
+                        answers
+                    })
+                })
+                .collect();
+            for (handle, (positions, _)) in handles.into_iter().zip(&shards) {
+                let shard_answers = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (&pos, answer) in positions.iter().zip(shard_answers) {
+                    answers[pos as usize] = answer;
+                }
             }
         });
-        debug_assert_eq!(answers.len(), pairs.len());
         answers
     }
 
-    /// Snapshot of the aggregate serving statistics (all dropped sessions
-    /// and completed batches so far).
-    pub fn stats(&self) -> ServerStats {
-        self.shared
-            .aggregate
-            .lock()
-            .expect("stats aggregate poisoned")
-            .clone()
+    /// Run `f` on a pooled session: the first free slot from this thread's
+    /// hint on, else (every slot busy) this thread's own slot once it is
+    /// released. The slot's session is opened on first use.
+    fn with_session<R>(&self, f: impl FnOnce(&mut WorkerSession) -> R) -> R {
+        let start = slot_hint() % self.slots.len();
+        let (head, tail) = self.slots.split_at(start);
+        let mut guard = tail
+            .iter()
+            .chain(head)
+            .find_map(SessionSlot::try_claim)
+            .unwrap_or_else(|| self.slots[start].claim());
+        f(guard.get_or_insert_with(|| WorkerSession::new(self.shared.clone(), None)))
     }
 
-    /// Reset the aggregate statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&self) {
-        *self
-            .shared
-            .aggregate
-            .lock()
-            .expect("stats aggregate poisoned") = ServerStats::default();
+    /// Snapshot of the aggregate serving statistics: every pooled session's
+    /// statistics so far are folded into the aggregate, which also holds
+    /// those of dropped caller-opened sessions.
+    ///
+    /// The fold claims each pooled session in turn, so it waits for the
+    /// call in flight on each busy one (a fallback search included).
+    /// Caller-opened sessions dropping meanwhile are not held up.
+    pub fn stats(&self) -> ServerStats {
+        let _fold = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut pooled = ServerStats::default();
+        for slot in self.slots.iter() {
+            if let Some(session) = slot.claim().as_mut() {
+                pooled.merge(&std::mem::take(&mut session.stats));
+            }
+        }
+        let mut aggregate = self.aggregate.lock().expect("stats aggregate poisoned");
+        aggregate.merge(&pooled);
+        aggregate.clone()
     }
+
+    /// Reset the aggregate statistics and every pooled session's (e.g.
+    /// after a warm-up phase). Like [`QueryService::stats`], it waits for
+    /// the calls in flight on the pooled sessions. Live caller-opened
+    /// sessions keep theirs.
+    pub fn reset_stats(&self) {
+        let _fold = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
+        for slot in self.slots.iter() {
+            if let Some(session) = slot.claim().as_mut() {
+                session.stats = ServerStats::default();
+            }
+        }
+        *self.aggregate.lock().expect("stats aggregate poisoned") = ServerStats::default();
+    }
+}
+
+/// The worker of pair `(s, t)` among `threads`, the same for every copy of
+/// the pair. The normalised key goes through the MurmurHash3 64-bit
+/// finaliser first: its low bits are the larger endpoint's alone, so a
+/// batch from one source to candidates below it would otherwise go to one
+/// worker.
+fn shard_of(s: NodeId, t: NodeId, threads: usize) -> usize {
+    let mut mixed = QueryCache::key(s, t);
+    mixed ^= mixed >> 33;
+    mixed = mixed.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    mixed ^= mixed >> 33;
+    mixed = mixed.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    mixed ^= mixed >> 33;
+    (((mixed >> 32) * threads as u64) >> 32) as usize
 }
 
 #[cfg(test)]
@@ -678,24 +795,53 @@ mod tests {
 
     #[test]
     fn sessions_pool_scratch_and_merge_stats() {
+        // A caller-opened session owns its scratch and merges its
+        // statistics into the aggregate when it drops.
         let service = small_service(24, 0, 1);
         {
             let mut session = service.session();
             session.serve_one(0, 500);
             session.serve_one(3, 700);
             assert_eq!(session.stats().queries, 2);
-        } // drop merges
-        assert_eq!(service.stats().queries, 2);
-        // The next session reuses the pooled scratch allocation.
-        {
-            let mut session = service.session();
-            session.serve_one(9, 100);
+            assert_eq!(service.stats().queries, 0, "merged only on drop");
         }
+        assert_eq!(service.stats().queries, 2);
+        // serve_batch calls run on the pooled sessions, which live on:
+        // `stats()` folds what they served so far, exactly once.
+        service.serve_batch(&[(9, 100)]);
+        service.serve_batch(&[(9, 100), (10, 200)]);
         let stats = service.stats();
-        assert_eq!(stats.queries, 3);
+        assert_eq!(stats.queries, 5);
+        assert_eq!(service.stats().queries, 5, "a second fold adds nothing");
         assert!(stats.latency.count() > 0);
+        assert!(stats.wall_time > std::time::Duration::ZERO);
+        // Reset clears the aggregate and the pooled sessions alike.
+        service.serve_batch(&[(11, 300)]);
         service.reset_stats();
         assert_eq!(service.stats().queries, 0);
+        service.serve_batch(&[(12, 400)]);
+        assert_eq!(service.stats().queries, 1);
+    }
+
+    #[test]
+    fn poisoned_session_slot_is_reopened() {
+        // A call that panics while holding a pooled session poisons its
+        // slot; the next claim replaces the session, keeps its
+        // statistics, and serves on.
+        let service = small_service(29, 0, 1);
+        service.serve_batch(&[(0, 500)]);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.with_session(|_| panic!("worker panic"))
+        }));
+        assert!(panicked.is_err());
+        assert!(service.slots.iter().any(|slot| slot.0.is_poisoned()));
+        let mut bfs = BfsEngine::new(service.graph());
+        for slot in 0..service.slots.len() as NodeId {
+            let answers = service.serve_batch(&[(slot, 1000 + slot)]);
+            assert_eq!(answers[0].distance(), bfs.distance(slot, 1000 + slot));
+        }
+        assert!(service.slots.iter().all(|slot| !slot.0.is_poisoned()));
+        assert_eq!(service.stats().queries, 1 + service.slots.len() as u64);
     }
 
     #[test]
@@ -766,6 +912,11 @@ mod tests {
             reference.stats().index_work,
             "duplicates must not pay index work beyond the unique set"
         );
+        // Sharded over workers, every copy of a pair meets in one session.
+        let sharded = small_service(31, 0, 4);
+        assert_eq!(sharded.serve_batch(&duplicate_heavy), answers);
+        assert_eq!(sharded.stats().index_work, reference.stats().index_work);
+        assert_eq!(sharded.stats().queries, 6);
 
         // Cached configuration: duplicates carry their first occurrence's
         // answer and method verbatim too, also when the first occurrence
@@ -923,6 +1074,27 @@ mod tests {
         assert_eq!(service.epoch_id(), 100);
         // Final state: the shortcut is removed again.
         assert_eq!(service.serve_batch(&[(0, 63)])[0].distance(), Some(63));
+    }
+
+    #[test]
+    fn one_source_batches_reach_every_worker() {
+        // A one-to-many batch (the friends-of-friends shape) must spread
+        // over the workers whether the source is above or below its
+        // candidates; copies of a pair, either orientation, share one.
+        for threads in 2..=8 {
+            for (source, candidates) in [(100_000, 0..64), (0, 1..65)] {
+                let mut load = vec![0usize; threads];
+                for t in candidates {
+                    let shard = shard_of(source, t, threads);
+                    assert_eq!(shard, shard_of(t, source, threads));
+                    load[shard] += 1;
+                }
+                assert!(
+                    load.iter().all(|&pairs| pairs > 0),
+                    "source {source} on {threads} workers: {load:?}"
+                );
+            }
+        }
     }
 
     #[test]

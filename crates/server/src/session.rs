@@ -3,11 +3,12 @@
 //! A [`WorkerSession`] is the unit of serving concurrency. Each session
 //! shares the service's *epoch slot* — an `Arc` pointer to the current
 //! immutable oracle version — and owns everything mutable it needs: the
-//! fallback search scratch, the batched-pipeline staging buffers, and its
-//! private statistics. The query hot path takes no locks beyond one
-//! epoch-pointer read per block and performs no steady-state allocation,
-//! no matter how many sessions run in parallel. The only shared mutable
-//! structure is the (optional) result cache, which is internally sharded.
+//! fallback search scratch (which grows to the graph size on its first
+//! search), the batched-pipeline staging buffers, and its private
+//! statistics. The query hot path takes no locks beyond one epoch-pointer
+//! read per block and performs no steady-state allocation, no matter how
+//! many sessions run in parallel. The only shared mutable structure is the
+//! (optional) result cache, which is internally sharded.
 //!
 //! ## The result cache sits behind the index
 //!
@@ -31,22 +32,25 @@
 //! reading session's epoch, so once a session observes a post-update
 //! epoch it can never be served a pre-update memoised search answer.
 //!
-//! Batches go through [`WorkerSession::serve_into`], which stages the
-//! work instead of looping over [`WorkerSession::serve_one`]: bad requests
-//! are peeled off first, duplicate pairs inside the batch collapse onto
-//! one resolution, the remaining pairs run through the oracle's
-//! software-prefetch batch engine, and only index misses fall back — to
-//! the landmark bounds when they meet, else to the cache and the
+//! Every query goes through [`WorkerSession::serve_into`]
+//! ([`WorkerSession::serve_one`] is a one-pair call of it): bad requests
+//! are peeled off first, duplicate pairs anywhere in the call collapse
+//! onto one resolution, the remaining pairs run through the oracle's
+//! software-prefetch batch engine in blocks, and only index misses fall
+//! back — to the landmark bounds when they meet, else to the cache and the
 //! per-session bidirectional BFS (which runs on the epoch's graph view —
 //! frozen CSR or dynamic overlay — through the shared [`Adjacency`]
-//! abstraction). Latency recorded by `serve_into` is **batch-amortised**
-//! (the batch's wall time divided over its queries) rather than per-query
-//! — the honest number for a batched engine, and the one
+//! abstraction). Latency recorded by `serve_into` is **block-amortised**
+//! (a block's wall time divided over its pairs) rather than per-query —
+//! the honest number for a batched engine, and the one
 //! `serving_throughput` reports.
 //!
-//! Sessions return their scratch buffers to the service's pool and merge
-//! their statistics into the service aggregate when dropped, so repeated
-//! batches reuse allocations instead of growing new ones.
+//! The service keeps a fixed set of pooled sessions alive and serves every
+//! `serve_batch` call on one of them, so a call pays only for its queries;
+//! their statistics are folded into the service aggregate when
+//! `QueryService::stats` is called. A session opened with
+//! `QueryService::session` owns its buffers and merges its statistics into
+//! the aggregate when dropped.
 
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -63,12 +67,12 @@ use vicinity_graph::{Adjacency, Distance, NodeId, INFINITY};
 use crate::cache::{CachedAnswer, QueryCache};
 use crate::stats::{ServedMethod, ServerStats};
 
-/// Queries per staged block of [`WorkerSession::serve_into`]. Large enough
-/// to amortise the pipeline's staging sweeps and keep plenty of
+/// Distinct pairs per staged block of [`WorkerSession::serve_into`]. Large
+/// enough to amortise the pipeline's staging sweeps and keep plenty of
 /// independent misses in flight, small enough that memoised search answers
-/// from one block are visible to the next (and to concurrently serving
-/// sessions) at fine granularity — and that epoch swaps published by a
-/// writer thread are observed promptly mid-batch.
+/// from one block are visible to concurrently serving sessions at fine
+/// granularity — and that epoch swaps published by a writer thread are
+/// observed promptly mid-batch.
 const SERVE_BLOCK: usize = 64;
 
 /// One published oracle version: everything a session needs to answer
@@ -113,32 +117,6 @@ impl Epoch {
 }
 
 impl EpochOracle {
-    #[inline]
-    pub(crate) fn node_count(&self) -> usize {
-        match self {
-            EpochOracle::Frozen { oracle, .. } => oracle.node_count(),
-            EpochOracle::Dynamic(snapshot) => snapshot.node_count(),
-        }
-    }
-
-    #[inline]
-    fn contains_node(&self, u: NodeId) -> bool {
-        (u as usize) < self.node_count()
-    }
-
-    #[inline]
-    fn distance_accumulate(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        accumulator: &mut QueryStats,
-    ) -> DistanceAnswer {
-        match self {
-            EpochOracle::Frozen { oracle, .. } => oracle.distance_accumulate(s, t, accumulator),
-            EpochOracle::Dynamic(snapshot) => snapshot.distance_accumulate(s, t, accumulator),
-        }
-    }
-
     #[inline]
     fn distance_batch_accumulate(
         &self,
@@ -299,8 +277,9 @@ pub(crate) struct SharedState {
     pub(crate) cache: Option<Arc<QueryCache>>,
     pub(crate) fallback: bool,
     pub(crate) record_latency: bool,
-    pub(crate) aggregate: Arc<Mutex<ServerStats>>,
-    pub(crate) scratch_pool: Arc<Mutex<Vec<BidirBfsScratch>>>,
+    /// Node count of every epoch (updates never add nodes): ids at or
+    /// beyond it are bad requests.
+    pub(crate) nodes: usize,
 }
 
 impl SharedState {
@@ -315,16 +294,16 @@ impl SharedState {
 /// high-water mark is reached.
 #[derive(Default)]
 struct BatchScratch {
-    /// Input positions of the pairs forwarded to the batch engine.
+    /// Input positions of the distinct pairs forwarded to the batch engine.
     pending_pos: Vec<u32>,
     /// The forwarded pairs themselves, parallel to `pending_pos`.
     pending_pairs: Vec<(NodeId, NodeId)>,
-    /// `(input position, pending index)` of intra-batch duplicates: pairs
-    /// whose normalised key already appeared earlier in the same batch.
+    /// `(input position, pending index)` of duplicates: pairs whose
+    /// normalised key already appeared earlier in the same call.
     duplicates: Vec<(u32, u32)>,
     /// Normalised key → pending index, for duplicate collapsing.
     seen: FastMap<u64, u32>,
-    /// Batch-engine answers, parallel to `pending_pairs`.
+    /// Batch-engine answers of one block.
     index_answers: Vec<DistanceAnswer>,
 }
 
@@ -338,65 +317,55 @@ impl BatchScratch {
     }
 }
 
-/// A worker's private serving state. Create one per thread with
+/// A worker's private serving state. Open one per thread with
 /// [`crate::QueryService::session`]; it is `Send`, so it can be moved into
 /// a worker thread and used for any number of queries.
 pub struct WorkerSession {
     shared: SharedState,
     scratch: BidirBfsScratch,
     batch: BatchScratch,
-    stats: ServerStats,
+    /// Output buffer of [`WorkerSession::serve_one`].
+    single: Vec<ServedAnswer>,
+    pub(crate) stats: ServerStats,
+    /// The aggregate this session's statistics merge into when it drops;
+    /// `None` for the service's pooled sessions, whose statistics
+    /// `QueryService::stats` folds instead.
+    merge_into: Option<Arc<Mutex<ServerStats>>>,
 }
 
 impl WorkerSession {
-    pub(crate) fn new(shared: SharedState) -> Self {
-        let node_count = shared.current_epoch().oracle.node_count();
-        let scratch = shared
-            .scratch_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| BidirBfsScratch::with_node_capacity(node_count));
+    pub(crate) fn new(shared: SharedState, merge_into: Option<Arc<Mutex<ServerStats>>>) -> Self {
         WorkerSession {
             shared,
-            scratch,
+            scratch: BidirBfsScratch::new(),
             batch: BatchScratch::default(),
+            single: Vec::new(),
             stats: ServerStats::default(),
+            merge_into,
         }
     }
 
-    /// Serve one query through the full pipeline: bad-request check,
-    /// oracle index, then (for index misses) the landmark bounds and, when
-    /// they do not settle the pair, the memoised allocation-free search
-    /// (see `WorkerSession::resolve_miss`).
+    /// A fresh session in this one's place: same service, same statistics,
+    /// none of its buffers. Replaces a session whose call panicked, which
+    /// may have left the buffers mid-update.
+    pub(crate) fn reopened(mut self) -> Self {
+        let mut fresh = WorkerSession::new(self.shared.clone(), self.merge_into.take());
+        fresh.stats = std::mem::take(&mut self.stats);
+        fresh
+    }
+
+    /// Serve one query: a one-pair call of [`WorkerSession::serve_into`].
     pub fn serve_one(&mut self, s: NodeId, t: NodeId) -> ServedAnswer {
-        let epoch = self.shared.current_epoch();
-        let start = self.shared.record_latency.then(Instant::now);
-
-        let answer = self.resolve(&epoch, s, t);
-
-        let latency = start.map(|st| st.elapsed());
-        self.stats.record(answer.accounted_method(), latency);
+        let mut out = std::mem::take(&mut self.single);
+        out.clear();
+        self.serve_into(&[(s, t)], &mut out);
+        let answer = out[0];
+        self.single = out;
         answer
     }
 
-    fn resolve(&mut self, epoch: &Epoch, s: NodeId, t: NodeId) -> ServedAnswer {
-        // Unknown node ids are a bad request, not a provable
-        // disconnection: report a miss instead of letting the fallback's
-        // out-of-range guard masquerade as "unreachable".
-        if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
-            return ServedAnswer::Miss;
-        }
-        let answer = epoch
-            .oracle
-            .distance_accumulate(s, t, &mut self.stats.index_work);
-        self.resolve_index_answer(epoch, s, t, answer)
-    }
-
     /// Turn a raw index answer into a served answer, resolving misses
-    /// through the fallback (when configured). Shared by the scalar path
-    /// and the batched pipeline so their serving semantics cannot drift
-    /// apart.
+    /// through the fallback (when configured).
     fn resolve_index_answer(
         &mut self,
         epoch: &Epoch,
@@ -473,27 +442,30 @@ impl WorkerSession {
     }
 
     /// Serve a slice of queries, appending the answers to `out` in input
-    /// order. Used by `serve_batch` workers; callers driving their own
-    /// threads can equally loop over [`WorkerSession::serve_one`].
+    /// order. This is the one serving path: `serve_batch` runs it on a
+    /// pooled session and [`WorkerSession::serve_one`] with one pair.
     ///
-    /// This is the batched fast path, in stages per 64-query block:
+    /// It works in stages:
     ///
-    /// 1. bad requests are peeled off and duplicate pairs collapse onto
-    ///    one resolution;
-    /// 2. the unique pairs run through the oracle's staged
-    ///    software-prefetch engine;
+    /// 1. bad requests are peeled off and duplicate pairs anywhere in the
+    ///    call collapse onto one resolution;
+    /// 2. the distinct pairs run through the oracle's staged
+    ///    software-prefetch engine in blocks of 64, each answered against
+    ///    the epoch current when the block starts;
     /// 3. index answers are served as they are; each miss goes to the
     ///    landmark bounds and, when they do not settle it, to the result
     ///    cache and then the search (see `WorkerSession::resolve_miss`);
     /// 4. duplicates adopt their first occurrence's answer and method
-    ///    verbatim;
-    /// 5. every query is accounted.
+    ///    verbatim.
     ///
     /// Answers and caching semantics are identical to a
     /// [`WorkerSession::serve_one`] loop, except that a repeat inside one
-    /// block reports its first occurrence's method where the loop could
-    /// report a cache hit. Recorded latency is batch-amortised (batch wall
-    /// time over batch size).
+    /// call reports its first occurrence's method where the loop could
+    /// report a cache hit. Every query is accounted. Each block records one latency sample
+    /// per pair it resolved, the block's wall time (the first block's
+    /// includes stage 1) divided over its pairs; bad requests and
+    /// duplicates cost only the fill-in and record none. The blocks' wall
+    /// times add up to the session's `busy_time`.
     ///
     /// `out` keeps its capacity across calls: feeding same-sized batches
     /// through one session reallocates neither the output vector (when the
@@ -502,90 +474,82 @@ impl WorkerSession {
         if pairs.is_empty() {
             return;
         }
-        out.reserve(pairs.len());
-        // Blocks, not one monolithic sweep: a block's searches run after
-        // every earlier block has resolved and written back, so a repeated
-        // searched pair later in the batch (or served concurrently by
-        // another session) still finds its memoised answer — the same
-        // behaviour a serve_one loop has, at block granularity. Blocks
-        // also bound the staging buffers, keep `out` writes cache-resident,
-        // and bound how long a batch can keep answering from a superseded
-        // epoch.
-        for block_pairs in pairs.chunks(SERVE_BLOCK) {
-            self.serve_block(block_pairs, out);
-        }
-    }
-
-    /// One staged block of [`WorkerSession::serve_into`], answered against
-    /// a single consistent epoch.
-    fn serve_block(&mut self, pairs: &[(NodeId, NodeId)], out: &mut Vec<ServedAnswer>) {
-        let epoch = self.shared.current_epoch();
+        // Each block's time runs from the end of the previous one, so the
+        // first block also carries the peel-off and dedup below.
+        let mut block_start = Instant::now();
         let base = out.len();
-        let busy_start = Instant::now();
-
-        // Stage 1: peel off bad requests; collapse intra-block duplicates
-        // onto one resolution (the repeat adopts the first occurrence's
-        // answer, so duplicate-heavy batches never pay the index twice for
-        // the same pair); placeholder-fill `out` so later stages can write
-        // answers by input position.
+        out.reserve(pairs.len());
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
+
+        // Stage 1: peel off bad requests; collapse duplicates onto their
+        // first occurrence; placeholder-fill `out` so later stages can
+        // write answers by input position.
+        let nodes = self.shared.nodes;
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            if !epoch.oracle.contains_node(s) || !epoch.oracle.contains_node(t) {
-                out.push(ServedAnswer::Miss);
+            out.push(ServedAnswer::Miss);
+            // Unknown node ids are a bad request, not a provable
+            // disconnection: they stay a miss.
+            if s as usize >= nodes || t as usize >= nodes {
+                self.stats.record(ServedMethod::Miss, None);
                 continue;
             }
-            let key = QueryCache::key(s, t);
-            if let Some(&first) = batch.seen.get(&key) {
+            let next = batch.pending_pos.len() as u32;
+            let first = *batch.seen.entry(QueryCache::key(s, t)).or_insert(next);
+            if first == next {
+                batch.pending_pos.push(i as u32);
+                batch.pending_pairs.push((s, t));
+            } else {
                 batch.duplicates.push((i as u32, first));
-                out.push(ServedAnswer::Miss); // placeholder, overwritten below
-                continue;
             }
-            batch.seen.insert(key, batch.pending_pos.len() as u32);
-            batch.pending_pos.push(i as u32);
-            batch.pending_pairs.push((s, t));
-            out.push(ServedAnswer::Miss); // placeholder, overwritten below
         }
 
-        // Stage 2: resolve the unique pairs of the block through the
-        // staged batch engine (header prefetch → span/landmark-row
-        // prefetch → warm-line resolution).
-        epoch.oracle.distance_batch_accumulate(
-            &batch.pending_pairs,
-            &mut batch.index_answers,
-            &mut self.stats.index_work,
-        );
-
-        // Stage 3: serve index answers; send misses through the bounds,
-        // the cache and the search.
-        for idx in 0..batch.pending_pairs.len() {
-            let (s, t) = batch.pending_pairs[idx];
-            let answer = self.resolve_index_answer(&epoch, s, t, batch.index_answers[idx]);
-            out[base + batch.pending_pos[idx] as usize] = answer;
+        // Stages 2–3, one block at a time: the staged batch engine
+        // (header prefetch → span/landmark-row prefetch → warm-line
+        // resolution), then the misses through the bounds, the cache and
+        // the search.
+        for (block, block_pairs) in batch.pending_pairs.chunks(SERVE_BLOCK).enumerate() {
+            let epoch = self.shared.current_epoch();
+            batch.index_answers.clear();
+            epoch.oracle.distance_batch_accumulate(
+                block_pairs,
+                &mut batch.index_answers,
+                &mut self.stats.index_work,
+            );
+            let positions = &batch.pending_pos[block * SERVE_BLOCK..][..block_pairs.len()];
+            for ((&(s, t), &answer), &pos) in
+                block_pairs.iter().zip(&batch.index_answers).zip(positions)
+            {
+                out[base + pos as usize] = self.resolve_index_answer(&epoch, s, t, answer);
+            }
+            let block_end = Instant::now();
+            let elapsed = block_end - block_start;
+            block_start = block_end;
+            self.stats.busy_time += elapsed;
+            let per_query = self
+                .shared
+                .record_latency
+                .then(|| elapsed / block_pairs.len() as u32);
+            for &pos in positions {
+                self.stats
+                    .record(out[base + pos as usize].accounted_method(), per_query);
+            }
         }
 
         // Stage 4: duplicates adopt the first occurrence's answer and
         // method verbatim — the same answer the index, bounds, cache or
         // search just produced.
         for &(pos, first) in &batch.duplicates {
-            out[base + pos as usize] = out[base + batch.pending_pos[first as usize] as usize];
+            let answer = out[base + batch.pending_pos[first as usize] as usize];
+            out[base + pos as usize] = answer;
+            self.stats.record(answer.accounted_method(), None);
         }
         self.batch = batch;
-
-        // Stage 5: account every query, with block-amortised latency.
-        let elapsed = busy_start.elapsed();
-        let per_query = self
-            .shared
-            .record_latency
-            .then(|| elapsed / pairs.len() as u32);
-        for answer in &out[base..] {
-            self.stats.record(answer.accounted_method(), per_query);
-        }
-        self.stats.busy_time += elapsed;
     }
 
-    /// This session's private statistics (merged into the service aggregate
-    /// when the session drops).
+    /// This session's private statistics (for a session from
+    /// [`crate::QueryService::session`], merged into the service aggregate
+    /// when it drops).
     pub fn stats(&self) -> &ServerStats {
         &self.stats
     }
@@ -593,14 +557,10 @@ impl WorkerSession {
 
 impl Drop for WorkerSession {
     fn drop(&mut self) {
-        // Merge the session's statistics into the service aggregate and
-        // hand the scratch buffers back for reuse by the next session.
-        if let Ok(mut aggregate) = self.shared.aggregate.lock() {
-            aggregate.merge(&self.stats);
-        }
-        let scratch = std::mem::take(&mut self.scratch);
-        if let Ok(mut pool) = self.shared.scratch_pool.lock() {
-            pool.push(scratch);
+        if let Some(aggregate) = &self.merge_into {
+            if let Ok(mut aggregate) = aggregate.lock() {
+                aggregate.merge(&self.stats);
+            }
         }
     }
 }

@@ -2,8 +2,10 @@
 //! throughput, cache and fallback rates.
 //!
 //! Worker sessions record into their own private `ServerStats` (no shared
-//! state on the hot path) and the service merges them after each batch, so
-//! aggregation never contends with query execution.
+//! state on the hot path). The service folds its pooled sessions' stats
+//! into its aggregate only when `QueryService::stats` is called, and a
+//! caller-opened session merges its own when it drops, so aggregation
+//! never contends with query execution.
 
 use std::time::Duration;
 
@@ -172,15 +174,17 @@ pub struct ServerStats {
     pub method_counts: [u64; 10],
     /// Aggregate index work (hash probes, boundary scans).
     pub index_work: QueryStats,
-    /// Per-query latency distribution. Queries served individually
-    /// (`serve_one`) record true per-query samples; batched serving
-    /// (`serve_into` / `serve_batch`) records batch-amortised samples —
-    /// the batch's wall time divided over its queries — which is the
-    /// meaningful figure for a pipelined engine.
+    /// Per-query latency distribution, block-amortised: every block of up
+    /// to 64 distinct pairs a session resolves records its wall time
+    /// divided over its pairs, once per pair — the meaningful figure for a
+    /// pipelined engine, and a true per-query sample for `serve_one`.
+    /// Duplicates and bad requests record no sample.
     pub latency: LatencyHistogram,
     /// Summed busy time across workers (CPU-side service time).
     pub busy_time: Duration,
-    /// Wall-clock time spent inside `serve_batch` calls.
+    /// Wall-clock time spent inside `serve_batch` calls, each recorded by
+    /// the pooled session that served it (for a sharded call, once, from
+    /// the call's start to its last worker's end).
     pub wall_time: Duration,
 }
 

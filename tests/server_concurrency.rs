@@ -3,6 +3,9 @@
 //! Dijkstra baseline, and concurrent serving of one shared oracle from
 //! multiple threads.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
 use rand::SeedableRng;
 
 use vicinity::baselines::dijkstra::Dijkstra;
@@ -275,4 +278,100 @@ fn batched_answers_preserve_input_order() {
         .unwrap()
         .serve_batch(&pairs);
     assert_eq!(single, sharded);
+}
+
+/// More single-pair `serve_batch` callers than this machine has cores, on
+/// one service, while a fifth thread folds and resets the statistics: every
+/// answer equals BFS, and once the observer is gone the statistics count
+/// exactly the calls made after the last reset.
+#[test]
+fn single_pair_callers_share_pooled_sessions() {
+    let graph = SocialGraphConfig::small_test().generate(306);
+    let oracle = OracleBuilder::new(Alpha::PAPER_DEFAULT)
+        .seed(306)
+        .build(&graph);
+    let service = QueryService::builder(oracle, graph)
+        .cache_capacity(1024)
+        .build()
+        .expect("oracle and graph agree");
+
+    const CALLERS: usize = 4;
+    const CALLS: usize = 400;
+    let mut bfs = BfsEngine::new(service.graph());
+    // Per caller: each pair with its BFS distance.
+    type Workload = Vec<((NodeId, NodeId), Option<u32>)>;
+    let workloads: Vec<Workload> = (0..CALLERS)
+        .map(|caller| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(2000 + caller as u64);
+            random_pairs(service.graph(), CALLS, &mut rng)
+                .into_iter()
+                .map(|(s, t)| ((s, t), bfs.distance(s, t)))
+                .collect()
+        })
+        .collect();
+    let serve_all = |workload: &[((NodeId, NodeId), Option<u32>)]| {
+        for &((s, t), want) in workload {
+            let answers = service.serve_batch(&[(s, t)]);
+            assert_eq!(answers.len(), 1);
+            assert_eq!(answers[0].distance(), want, "pair ({s},{t})");
+        }
+    };
+
+    let start = Barrier::new(CALLERS + 1);
+    let callers_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let callers: Vec<_> = workloads
+            .iter()
+            .map(|workload| {
+                let (start, serve_all) = (&start, &serve_all);
+                scope.spawn(move || {
+                    start.wait();
+                    serve_all(workload);
+                })
+            })
+            .collect();
+        let observer = scope.spawn(|| {
+            start.wait();
+            let mut rounds = 0u64;
+            while !callers_done.load(Ordering::Acquire) {
+                let stats = service.stats();
+                assert!(stats.queries <= (CALLERS * CALLS) as u64);
+                service.reset_stats();
+                rounds += 1;
+            }
+            rounds
+        });
+        for caller in callers {
+            caller.join().expect("caller panicked");
+        }
+        callers_done.store(true, Ordering::Release);
+        assert!(observer.join().expect("observer panicked") > 0);
+    });
+
+    // Calls whose statistics are still unfolded in the pooled sessions,
+    // then the final reset, which must clear those too, then a known
+    // number of calls.
+    let serve_concurrently = |range: std::ops::Range<usize>| {
+        std::thread::scope(|scope| {
+            for workload in &workloads {
+                let (serve_all, range) = (&serve_all, range.clone());
+                scope.spawn(move || serve_all(&workload[range]));
+            }
+        })
+    };
+    serve_concurrently(0..CALLS / 4);
+    service.reset_stats();
+    serve_concurrently(CALLS / 4..CALLS / 2);
+    let stats = service.stats();
+    assert_eq!(stats.queries, (CALLERS * CALLS / 4) as u64);
+    assert_eq!(
+        stats.queries,
+        stats.index_hits + stats.fallbacks + stats.cache_hits + stats.unreachable,
+        "every query is accounted to exactly one serving method"
+    );
+    assert_eq!(
+        service.stats().queries,
+        stats.queries,
+        "folding is idempotent"
+    );
 }
